@@ -24,6 +24,7 @@
 package autogemm
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -100,11 +101,11 @@ type Perf struct {
 // misses first try to warm-start from the on-disk registry before
 // planning from scratch.
 //
-// Every execution — Multiply, RunParallel through a plan handle,
-// MultiplyBatch, Submit — runs on the engine's persistent scheduler
-// runtime (internal/sched): a worker pool sized by WithWorkers with a
-// bounded job queue sized by WithQueueDepth. Close stops it; see
-// docs/INTERNALS.md, "Runtime & scheduling".
+// Every execution — Multiply, MultiplyPlanned, MultiplyBatch, Submit —
+// runs on the engine's persistent scheduler runtime (internal/sched):
+// a worker pool sized by WithWorkers with a bounded job queue sized by
+// WithQueueDepth. Close stops it; see docs/INTERNALS.md, "Runtime &
+// scheduling".
 type Engine struct {
 	chip     *hw.Chip
 	plans    *plan.Cache[*core.Plan]
@@ -209,13 +210,20 @@ func (e *Engine) PeakGFLOPS() float64 { return e.chip.PeakGFLOPS() }
 // Lanes returns σ_lane: float32 elements per SIMD register.
 func (e *Engine) Lanes() int { return e.chip.Lanes }
 
-// resolve converts public options into core options. The engine's
-// scheduler rides along as a runtime-only field — it never enters the
-// plan fingerprint.
-func (e *Engine) resolve(opts *Options) (core.Options, error) {
-	co := core.AutoOptions(e.chip)
+// bind sets co's runtime-only fields to this engine: its scheduler and
+// its default class (WithDefaultClass). Every plan the engine attaches
+// — resolved, tuned or loaded — goes through it; neither field enters
+// the plan fingerprint.
+func (e *Engine) bind(co core.Options) core.Options {
 	co.Runtime = e.sched
 	co.DefaultQoS = sched.QoS{Class: e.defaultClass}
+	return co
+}
+
+// resolve converts public options into core options bound to this
+// engine.
+func (e *Engine) resolve(opts *Options) (core.Options, error) {
+	co := e.bind(core.AutoOptions(e.chip))
 	if opts == nil {
 		return co, nil
 	}
@@ -243,20 +251,36 @@ func (e *Engine) resolve(opts *Options) (core.Options, error) {
 // Multiply computes C += A·B for row-major float32 matrices A (m×k),
 // B (k×n) and C (m×n) by executing the generated micro-kernels, and is
 // bit-validated against a reference GEMM in the test suite (relative
-// error below 1e-6, the paper's §V criterion).
+// error below 1e-6, the paper's §V criterion). Plans are served from
+// the engine's plan cache: repeated calls on the same shape reuse the
+// resolved plan and its generated kernels. For explicit algorithm
+// parameters, resolve a plan with PlanFor and run it with
+// MultiplyPlanned, or set GEMM.Opts on Submit / MultiplyBatch.
 func (e *Engine) Multiply(c, a, b []float32, m, n, k int) error {
-	return e.MultiplyWith(nil, c, a, b, m, n, k)
+	return e.MultiplyContext(context.Background(), c, a, b, m, n, k)
 }
 
-// MultiplyWith is Multiply with explicit algorithm parameters. Plans
-// are served from the engine's plan cache: repeated calls on the same
-// shape and options reuse the resolved plan and its generated kernels.
-func (e *Engine) MultiplyWith(opts *Options, c, a, b []float32, m, n, k int) error {
-	p, err := e.plan(opts, m, n, k)
+// MultiplyContext is Multiply bound to a context: if ctx fires before
+// the job completes, the scheduler skips the job's remaining work and
+// the call returns ctx.Err(). A context firing also unblocks a
+// submission stalled on scheduler backpressure. The call returns only
+// once the job has actually completed — prompt on cancellation, since
+// only the task already running finishes — so c, a and b are always
+// quiescent when it returns.
+//
+// The multiplication runs as one single-worker job (the serial
+// reference order) under the engine's default class; Submit is the
+// all-worker, per-call-QoS path.
+func (e *Engine) MultiplyContext(ctx context.Context, c, a, b []float32, m, n, k int) error {
+	p, err := e.plan(nil, m, n, k)
 	if err != nil {
 		return err
 	}
-	return wrapExec(p.Run(c, a, b))
+	fut, err := p.Submit(ctx, c, a, b, 1, sched.QoS{})
+	if err != nil {
+		return wrapExec(err)
+	}
+	return wrapExec(fut.Wait())
 }
 
 // Estimate projects the performance of the plan on the engine's chip.
@@ -295,10 +319,10 @@ func (e *Engine) EstimateProvider(provider string, m, n, k int) (Perf, error) {
 // budget caps the number of simulator evaluations (0 = default).
 //
 // The winning plan is inserted into the engine's plan cache — a
-// subsequent MultiplyWith using the returned options resolves to the
-// same fingerprint and executes the tuned plan without re-planning —
-// and, when a plan directory is configured, persisted to the registry
-// so later processes warm-start from it.
+// subsequent PlanFor (or a GEMM whose Opts are the returned options)
+// resolves to the same fingerprint and executes the tuned plan without
+// re-planning — and, when a plan directory is configured, persisted to
+// the registry so later processes warm-start from it.
 func (e *Engine) Tune(m, n, k, budget int) (Options, Perf, error) {
 	rec, res, err := tuner.TunePlan(tuner.Config{
 		Chip: e.chip, M: m, N: n, K: k, UseModel: true, MaxEvals: budget,
@@ -307,9 +331,7 @@ func (e *Engine) Tune(m, n, k, budget int) (Options, Perf, error) {
 		return Options{}, Perf{}, err
 	}
 	if _, err := e.plans.Get(rec.Fingerprint, func() (*core.Plan, error) {
-		o := res.Best.Options()
-		o.Runtime = e.sched
-		o.DefaultQoS = sched.QoS{Class: e.defaultClass}
+		o := e.bind(res.Best.Options())
 		o.TrustedPlan = true // tuned in-process, no audit needed
 		return core.Attach(e.chip, rec, o)
 	}); err != nil {

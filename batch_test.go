@@ -1,6 +1,7 @@
 package autogemm
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -51,7 +52,7 @@ func TestBatchAsyncBitIdenticalToSerial(t *testing.T) {
 		batch[i] = GEMM{M: p.s.M, N: p.s.N, K: p.s.K,
 			A: p.a, B: p.b, C: make([]float32, p.s.M*p.s.N)}
 	}
-	if err := e.MultiplyBatch(batch); err != nil {
+	if err := e.MultiplyBatch(context.Background(), batch, SubmitOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range probs {
@@ -63,7 +64,7 @@ func TestBatchAsyncBitIdenticalToSerial(t *testing.T) {
 	outs := make([][]float32, len(probs))
 	for i, p := range probs {
 		outs[i] = make([]float32, p.s.M*p.s.N)
-		f, err := e.Submit(GEMM{M: p.s.M, N: p.s.N, K: p.s.K, A: p.a, B: p.b, C: outs[i]})
+		f, err := e.Submit(context.Background(), GEMM{M: p.s.M, N: p.s.N, K: p.s.K, A: p.a, B: p.b, C: outs[i]}, SubmitOpts{})
 		if err != nil {
 			t.Fatalf("%s submit: %v", p.s.Name, err)
 		}
@@ -107,10 +108,10 @@ func TestEngineClose(t *testing.T) {
 	if err := e.Multiply(buf(64), buf(64), buf(64), 8, 8, 8); !errors.Is(err, sched.ErrClosed) {
 		t.Fatalf("Multiply after Close: err = %v, want sched.ErrClosed", err)
 	}
-	if _, err := e.Submit(GEMM{M: 8, N: 8, K: 8, A: buf(64), B: buf(64), C: buf(64)}); !errors.Is(err, sched.ErrClosed) {
+	if _, err := e.Submit(context.Background(), GEMM{M: 8, N: 8, K: 8, A: buf(64), B: buf(64), C: buf(64)}, SubmitOpts{}); !errors.Is(err, sched.ErrClosed) {
 		t.Fatalf("Submit after Close: err = %v, want sched.ErrClosed", err)
 	}
-	if err := e.MultiplyBatch([]GEMM{{M: 8, N: 8, K: 8, A: buf(64), B: buf(64), C: buf(64)}}); !errors.Is(err, sched.ErrClosed) {
+	if err := e.MultiplyBatch(context.Background(), []GEMM{{M: 8, N: 8, K: 8, A: buf(64), B: buf(64), C: buf(64)}}, SubmitOpts{}); !errors.Is(err, sched.ErrClosed) {
 		t.Fatalf("MultiplyBatch after Close: err = %v, want sched.ErrClosed", err)
 	}
 	// Planning still works on a closed engine — only execution is gone.
@@ -138,7 +139,7 @@ func TestEngineWorkerQueueOptions(t *testing.T) {
 			b := make([]float32, k*n)
 			refgemm.Fill(a, m, k, k, seed)
 			refgemm.Fill(b, k, n, n, seed+1)
-			f, err := e.Submit(GEMM{M: m, N: n, K: k, A: a, B: b, C: make([]float32, m*n)})
+			f, err := e.Submit(context.Background(), GEMM{M: m, N: n, K: k, A: a, B: b, C: make([]float32, m*n)}, SubmitOpts{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -196,10 +197,10 @@ func TestEngineMixedConcurrentUse(t *testing.T) {
 			case 0:
 				err = e.Multiply(c, a, b, m, n, k)
 			case 1:
-				err = e.MultiplyBatch([]GEMM{{M: m, N: n, K: k, A: a, B: b, C: c}})
+				err = e.MultiplyBatch(context.Background(), []GEMM{{M: m, N: n, K: k, A: a, B: b, C: c}}, SubmitOpts{})
 			case 2:
 				var f *Future
-				if f, err = e.Submit(GEMM{M: m, N: n, K: k, A: a, B: b, C: c}); err == nil {
+				if f, err = e.Submit(context.Background(), GEMM{M: m, N: n, K: k, A: a, B: b, C: c}, SubmitOpts{}); err == nil {
 					err = f.Wait()
 				}
 			}

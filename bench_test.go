@@ -10,6 +10,7 @@ package autogemm_test
 // the simulated-cycle metrics are the paper-comparable quantities.
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -19,6 +20,7 @@ import (
 	"autogemm/internal/experiments"
 	"autogemm/internal/hw"
 	"autogemm/internal/refgemm"
+	"autogemm/internal/sched"
 )
 
 // run regenerates one experiment per iteration.
@@ -286,7 +288,8 @@ func BenchmarkLargeSquare(b *testing.B) {
 	b.ReportMetric(cell(b, tbl, len(tbl.Rows)-1, 4), "auto/OpenBLAS-at-384")
 }
 
-// BenchmarkRunParallel measures the host-side parallel functional path.
+// BenchmarkRunParallel measures the host-side parallel functional path:
+// one 64x64x48 job claimed by up to 4 pool workers.
 func BenchmarkRunParallel(b *testing.B) {
 	chip := hw.KP920()
 	plan, err := coreNewPlan(chip)
@@ -301,7 +304,11 @@ func BenchmarkRunParallel(b *testing.B) {
 	refgemm.Fill(bb, k, n, n, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := plan.RunParallel(c, a, bb, 4); err != nil {
+		fut, err := plan.Submit(context.Background(), c, a, bb, 4, sched.QoS{})
+		if err == nil {
+			err = fut.Wait()
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,13 +21,7 @@ func (e *Engine) plan(opts *Options, m, n, k int) (*core.Plan, error) {
 // n×k when transB is set). β = 0 overwrites C without reading it.
 func (e *Engine) SGEMM(transA, transB bool, m, n, k int,
 	alpha float32, a, b []float32, beta float32, c []float32) error {
-	return e.SGEMMWith(nil, transA, transB, m, n, k, alpha, a, b, beta, c)
-}
-
-// SGEMMWith is SGEMM with explicit algorithm parameters.
-func (e *Engine) SGEMMWith(opts *Options, transA, transB bool, m, n, k int,
-	alpha float32, a, b []float32, beta float32, c []float32) error {
-	plan, err := e.plan(opts, m, n, k)
+	plan, err := e.plan(nil, m, n, k)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package autogemm
 
 import (
+	"context"
 	"testing"
 
 	"autogemm/internal/refgemm"
@@ -65,7 +66,7 @@ func TestMultiplyBatch(t *testing.T) {
 		refgemm.GEMM(m, n, k, g.A, k, g.B, n, want[i], n)
 		batch[i] = g
 	}
-	if err := e.MultiplyBatch(batch); err != nil {
+	if err := e.MultiplyBatch(context.Background(), batch, SubmitOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range shapes {
@@ -78,7 +79,7 @@ func TestMultiplyBatch(t *testing.T) {
 		t.Errorf("CachedPlans = %d, want 3 (one per distinct shape)", e.CachedPlans())
 	}
 	bad := []GEMM{{M: 8, N: 8, K: 8, A: make([]float32, 4), B: make([]float32, 64), C: make([]float32, 64)}}
-	if err := e.MultiplyBatch(bad); err == nil {
+	if err := e.MultiplyBatch(context.Background(), bad, SubmitOpts{}); err == nil {
 		t.Error("undersized batch element accepted")
 	}
 }
@@ -100,7 +101,7 @@ func TestSubmitAsyncPublic(t *testing.T) {
 	want := make([]float32, m*n)
 	refgemm.GEMM(m, n, k, g.A, k, g.B, n, want, n)
 
-	fut, err := e.Submit(g)
+	fut, err := e.Submit(context.Background(), g, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"autogemm"
 	"autogemm/internal/core"
 	"autogemm/internal/hw"
+	"autogemm/internal/sched"
 	"autogemm/internal/workload"
 )
 
@@ -395,13 +396,13 @@ func benchBatch(chip *hw.Chip, shapes []workload.Shape, w int, minTime time.Dura
 		batch[i] = g
 	}
 
-	if err := eng.MultiplyBatch(batch); err != nil {
+	if err := eng.MultiplyBatch(context.Background(), batch, autogemm.SubmitOpts{}); err != nil {
 		return benchBatchRun{}, err
 	}
 	var reps int
 	start := time.Now()
 	for {
-		if err := eng.MultiplyBatch(batch); err != nil {
+		if err := eng.MultiplyBatch(context.Background(), batch, autogemm.SubmitOpts{}); err != nil {
 			return benchBatchRun{}, err
 		}
 		reps++
@@ -427,17 +428,24 @@ func benchPlan(chip *hw.Chip, s workload.Shape, forceInterp bool) (*core.Plan, e
 	return core.NewPlan(chip, s.M, s.N, s.K, opts)
 }
 
-// measure times RunParallel repetitions until minTime has elapsed and
-// returns GFLOP/s. The first (untimed) repetition warms the kernel and
-// scratch caches.
+// measure times repetitions of one job claimed by up to `workers` pool
+// workers until minTime has elapsed and returns GFLOP/s. The first
+// (untimed) repetition warms the kernel and scratch caches.
 func measure(plan *core.Plan, c, a, b []float32, workers int, flops float64, minTime time.Duration) (float64, error) {
-	if err := plan.RunParallel(c, a, b, workers); err != nil {
+	run := func() error {
+		fut, err := plan.Submit(context.Background(), c, a, b, workers, sched.QoS{})
+		if err != nil {
+			return err
+		}
+		return fut.Wait()
+	}
+	if err := run(); err != nil {
 		return 0, err
 	}
 	var reps int
 	start := time.Now()
 	for {
-		if err := plan.RunParallel(c, a, b, workers); err != nil {
+		if err := run(); err != nil {
 			return 0, err
 		}
 		reps++

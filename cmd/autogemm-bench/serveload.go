@@ -286,7 +286,7 @@ func runServeLoad(chip *hw.Chip, clients, engineWorkers int, duration time.Durat
 
 	fleet := sched.New(clients, 0)
 	defer fleet.Close()
-	fut, err := fleet.Submit(clients, 0, func(w *sched.Worker, task int) error {
+	fut, err := fleet.Submit(context.Background(), clients, 0, sched.QoS{}, func(w *sched.Worker, task int) error {
 		clientLoop(task)
 		return nil
 	})

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -113,11 +114,11 @@ func runSimScaling(chip *hw.Chip, s workload.Shape, poolWorkers int) (simChipSca
 	// bit-identical with the Timekeeper active — the acceptance check
 	// that virtual time never touches numerics.
 	cRef := make([]float32, s.M*s.N)
-	if err := p.RunParallel(cRef, a, b, 1); err != nil {
+	if err := p.Run(cRef, a, b); err != nil {
 		return out, err
 	}
 	cPar := make([]float32, s.M*s.N)
-	fut, err := p.Submit(cPar, a, b)
+	fut, err := p.Submit(context.Background(), cPar, a, b, 0, sched.QoS{})
 	if err != nil {
 		return out, err
 	}

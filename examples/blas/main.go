@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -53,7 +54,7 @@ func main() {
 		jobs[i] = g
 	}
 	start := time.Now()
-	if err := eng.MultiplyBatch(jobs); err != nil {
+	if err := eng.MultiplyBatch(context.Background(), jobs, autogemm.SubmitOpts{}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("batched %d x (%dx%dx%d) in %v with %d cached plan(s)\n",

@@ -61,7 +61,7 @@ func TestBatchPanicIsolation(t *testing.T) {
 	outs := make([][]float32, len(probs))
 	for i, p := range probs {
 		outs[i] = make([]float32, m*n)
-		f, err := e.Submit(GEMM{M: m, N: n, K: k, A: p.a, B: p.b, C: outs[i]})
+		f, err := e.Submit(context.Background(), GEMM{M: m, N: n, K: k, A: p.a, B: p.b, C: outs[i]}, SubmitOpts{})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -94,7 +94,7 @@ func TestBatchPanicIsolation(t *testing.T) {
 	// worker or leak its in-flight slot.
 	sched.SetFaultHook(nil)
 	c := make([]float32, m*n)
-	f, err := e.Submit(GEMM{M: m, N: n, K: k, A: probs[0].a, B: probs[0].b, C: c})
+	f, err := e.Submit(context.Background(), GEMM{M: m, N: n, K: k, A: probs[0].a, B: probs[0].b, C: c}, SubmitOpts{})
 	if err != nil {
 		t.Fatalf("Submit after contained panic: %v", err)
 	}
@@ -108,8 +108,9 @@ func TestBatchPanicIsolation(t *testing.T) {
 }
 
 // TestMultiplyContextCancelledMidJob: cancelling from inside the job's
-// first C-tile-group task makes MultiplyContext return context.Canceled
-// promptly, and the engine keeps serving.
+// first C-tile-group task fails the ctx-bound job with context.Canceled
+// promptly, the engine keeps serving, and MultiplyContext refuses an
+// already-cancelled context.
 func TestMultiplyContextCancelledMidJob(t *testing.T) {
 	e, err := New("KP920", WithWorkers(1))
 	if err != nil {
@@ -133,12 +134,19 @@ func TestMultiplyContextCancelledMidJob(t *testing.T) {
 		return nil
 	})
 	defer sched.SetFaultHook(nil)
-	err = e.MultiplyWithContext(ctx, opts, make([]float32, m*n), a, b, m, n, k)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("MultiplyWithContext = %v, want context.Canceled", err)
+	g := func() GEMM { return GEMM{C: make([]float32, m*n), A: a, B: b, M: m, N: n, K: k, Opts: opts} }
+	f, err := e.Submit(ctx, g(), SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait = %v, want context.Canceled", err)
 	}
 	sched.SetFaultHook(nil)
-	if err := e.MultiplyWith(opts, make([]float32, m*n), a, b, m, n, k); err != nil {
+	if f, err = e.Submit(context.Background(), g(), SubmitOpts{}); err == nil {
+		err = f.Wait()
+	}
+	if err != nil {
 		t.Fatalf("Multiply after cancellation: %v", err)
 	}
 	if st := e.PlanCacheStats(); st.SchedJobsCancelled != 1 {
@@ -190,7 +198,7 @@ func TestFutureWaitContext(t *testing.T) {
 		}
 	}()
 
-	f, err := e.Submit(GEMM{M: m, N: n, K: k, A: a, B: b, C: c})
+	f, err := e.Submit(context.Background(), GEMM{M: m, N: n, K: k, A: a, B: b, C: c}, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +236,9 @@ func TestErrClosedWrapped(t *testing.T) {
 	if !strings.HasPrefix(err.Error(), "autogemm:") {
 		t.Errorf("closed error %q lacks the autogemm: prefix", err)
 	}
-	if _, err := e.SubmitContext(context.Background(),
-		GEMM{M: 8, N: 8, K: 8, A: buf(64), B: buf(64), C: buf(64)}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SubmitContext after Close: err = %v, want ErrClosed", err)
+	if _, err := e.Submit(context.Background(),
+		GEMM{M: 8, N: 8, K: 8, A: buf(64), B: buf(64), C: buf(64)}, SubmitOpts{}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Submit after Close: err = %v, want ErrClosed", err)
 	}
 }
 
@@ -257,7 +265,7 @@ func TestEngineCloseWithTimeout(t *testing.T) {
 		return nil
 	})
 	defer sched.SetFaultHook(nil)
-	f, err := e.Submit(GEMM{M: m, N: n, K: k, A: a, B: b, C: make([]float32, m*n)})
+	f, err := e.Submit(context.Background(), GEMM{M: m, N: n, K: k, A: a, B: b, C: make([]float32, m*n)}, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +308,7 @@ func TestMultiplyBatchContinuesPastFailedElement(t *testing.T) {
 		{M: -1, N: -1, K: -1}, // rejected at the plan boundary
 		{M: m, N: n, K: k, A: a2, B: b2, C: make([]float32, m*n)},
 	}
-	err = e.MultiplyBatch(batch)
+	err = e.MultiplyBatch(context.Background(), batch, SubmitOpts{})
 	if err == nil {
 		t.Fatal("MultiplyBatch accepted an invalid element")
 	}

@@ -181,9 +181,8 @@ type Plan struct {
 	interpOnly bool // ForceInterp or AUTOGEMM_INTERP=1
 
 	// Execution runtime, fixed at Attach: the scheduler every Run /
-	// RunParallel / Submit turns into a job on, the C-tile-group
-	// partition of the block grid (precomputed once — the per-call
-	// map+sort the old RunParallel paid is gone), and one scratch-state
+	// Submit turns into a job on, the C-tile-group partition of the
+	// block grid (precomputed once, not per call), and one scratch-state
 	// slot per pool worker. Slot i is only ever touched by worker i, so
 	// the states need no lock and no sync.Pool round trips.
 	runtime    *sched.Pool
@@ -216,7 +215,7 @@ type Plan struct {
 }
 
 // ExecStats counts block executions by path since the plan was created
-// (across all Run/RunParallel calls). It exposes which tier the engine
+// (across all Run/Submit calls). It exposes which tier the engine
 // actually took — tests and benchmarks assert on it rather than
 // guessing from timings.
 type ExecStats struct {
@@ -226,7 +225,7 @@ type ExecStats struct {
 	InterpBlocks    int64 // checked-interpreter fallback
 
 	// Scheduler counters for this plan's jobs (one job per Run /
-	// RunParallel / Submit): completions and stolen-task counts are
+	// Submit): completions and stolen-task counts are
 	// tallied when the job's future is waited on.
 	JobsSubmitted int64
 	JobsCompleted int64

@@ -45,7 +45,7 @@ const kernelFuel = 1 << 31
 // blocks whose kernels over-read past the matrix end otherwise fall
 // back to the packed path.
 func (p *Plan) Run(c, a, b []float32) error {
-	fut, err := p.submitJob(context.Background(), c, a, b, 1, sched.QoS{})
+	fut, err := p.Submit(context.Background(), c, a, b, 1, sched.QoS{})
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,7 @@ import (
 	"autogemm/internal/sched"
 )
 
-// TestRunParallelMatchesReference: parallel execution equals the
+// TestRunParallelMatchesReference: multi-worker execution equals the
 // reference across worker counts and loop orders.
 func TestRunParallelMatchesReference(t *testing.T) {
 	chip := hw.KP920()
@@ -34,7 +34,11 @@ func TestRunParallelMatchesReference(t *testing.T) {
 			want := make([]float32, m*n)
 			copy(want, c)
 			refgemm.GEMM(m, n, k, a, k, b, n, want, n)
-			if err := plan.RunParallel(c, a, b, workers); err != nil {
+			fut, err := plan.Submit(context.Background(), c, a, b, workers, sched.QoS{})
+			if err == nil {
+				err = fut.Wait()
+			}
+			if err != nil {
 				t.Fatalf("workers=%d order=%v: %v", workers, order, err)
 			}
 			if e := refgemm.MaxRelErr(c, want, m, n, n, n); e > refgemm.Tolerance {
@@ -91,7 +95,7 @@ func TestRunParallelValidation(t *testing.T) {
 	chip := hw.KP920()
 	plan, _ := NewPlan(chip, 8, 8, 8, AutoOptions(chip))
 	small := make([]float32, 4)
-	if err := plan.RunParallel(small, small, small, 2); err == nil {
+	if _, err := plan.Submit(context.Background(), small, small, small, 2, sched.QoS{}); err == nil {
 		t.Error("undersized buffers accepted")
 	}
 }
@@ -131,7 +135,7 @@ func TestPartitionPrecomputed(t *testing.T) {
 }
 
 // TestRunParallelBitIdenticalToRun: the determinism contract — any
-// worker count produces the same bits as serial Run, because each C
+// Submit worker count produces the same bits as serial Run, because each C
 // tile's k chunks stay in ascending order inside one task.
 func TestRunParallelBitIdenticalToRun(t *testing.T) {
 	chip := hw.KP920()
@@ -154,7 +158,11 @@ func TestRunParallelBitIdenticalToRun(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4, 0} {
 		got := append([]float32(nil), cInit...)
-		if err := plan.RunParallel(got, a, b, workers); err != nil {
+		fut, err := plan.Submit(context.Background(), got, a, b, workers, sched.QoS{})
+		if err == nil {
+			err = fut.Wait()
+		}
+		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i := range got {
@@ -183,7 +191,7 @@ func TestSubmitAsync(t *testing.T) {
 	want := make([]float32, m*n)
 	refgemm.GEMM(m, n, k, a, k, b, n, want, n)
 
-	fut, err := plan.Submit(c, a, b)
+	fut, err := plan.Submit(context.Background(), c, a, b, 0, sched.QoS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +228,7 @@ func TestRunOnClosedRuntime(t *testing.T) {
 	if err := plan.Run(buf, buf, buf); !errors.Is(err, sched.ErrClosed) {
 		t.Fatalf("Run on closed runtime: err = %v, want sched.ErrClosed", err)
 	}
-	if _, err := plan.Submit(buf, buf, buf); !errors.Is(err, sched.ErrClosed) {
+	if _, err := plan.Submit(context.Background(), buf, buf, buf, 0, sched.QoS{}); !errors.Is(err, sched.ErrClosed) {
 		t.Fatalf("Submit on closed runtime: err = %v, want sched.ErrClosed", err)
 	}
 }
@@ -269,14 +277,14 @@ func TestGeometryValidation(t *testing.T) {
 	}
 	good.M, good.K = -1, -1
 	buf := make([]float32, 64)
-	if _, err := good.Submit(buf, buf, buf); err == nil {
-		t.Error("submitJob accepted m = k = -1 (m*k = 1 bypass)")
+	if _, err := good.Submit(context.Background(), buf, buf, buf, 0, sched.QoS{}); err == nil {
+		t.Error("Submit accepted m = k = -1 (m*k = 1 bypass)")
 	}
 }
 
 // TestRunContextCancelledMidJob: cancelling the context from inside the
 // first C-tile-group task skips the remaining groups and surfaces
-// context.Canceled from RunContext.
+// context.Canceled from the single-worker job's Wait.
 func TestRunContextCancelledMidJob(t *testing.T) {
 	chip := hw.KP920()
 	opts := AutoOptions(chip)
@@ -304,13 +312,17 @@ func TestRunContextCancelledMidJob(t *testing.T) {
 	c := make([]float32, m*n)
 	refgemm.Fill(a, m, k, k, 3)
 	refgemm.Fill(b, k, n, n, 4)
-	if err := plan.RunContext(ctx, c, a, b); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext = %v, want context.Canceled", err)
+	fut, err := plan.Submit(ctx, c, a, b, 1, sched.QoS{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fut.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait = %v, want context.Canceled", err)
 	}
 	sched.SetFaultHook(nil)
 	// The plan (and its runtime) keep serving after the cancellation.
 	if err := plan.Run(c, a, b); err != nil {
-		t.Fatalf("Run after cancelled RunContext: %v", err)
+		t.Fatalf("Run after cancelled job: %v", err)
 	}
 }
 
@@ -325,10 +337,9 @@ func TestSubmitContextPreCancelledCore(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	buf := make([]float32, 64)
-	if _, err := plan.SubmitContext(ctx, buf, buf, buf); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SubmitContext = %v, want context.Canceled", err)
-	}
-	if err := plan.RunParallelContext(ctx, buf, buf, buf, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunParallelContext = %v, want context.Canceled", err)
+	for _, workers := range []int{0, 2} {
+		if _, err := plan.Submit(ctx, buf, buf, buf, workers, sched.QoS{}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Submit(workers=%d) = %v, want context.Canceled", workers, err)
+		}
 	}
 }

@@ -393,7 +393,7 @@ func SubmitProduce(pool *sched.Pool, chip *hw.Chip, m, n, k int, opts Options, o
 	// Upgrades run under the scheduler's background class: weighted
 	// claiming keeps DMT row-filling off the critical path whenever any
 	// foreground class has jobs queued, instead of competing FIFO.
-	fut, err := pool.TrySubmitQoS(len(chunks), 0, sched.QoS{Class: sched.BackgroundClass}, func(_ *sched.Worker, i int) error {
+	fut, err := pool.TrySubmit(len(chunks), 0, sched.QoS{Class: sched.BackgroundClass}, func(_ *sched.Worker, i int) error {
 		chunks[i].s.FillRows(chunks[i].lo, chunks[i].hi)
 		return nil
 	})

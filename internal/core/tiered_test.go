@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sync"
@@ -123,7 +124,7 @@ func TestSubmitProduceBusy(t *testing.T) {
 	pool := sched.New(1, 1)
 	defer pool.Close()
 	release := make(chan struct{})
-	fut, err := pool.Submit(1, 1, func(_ *sched.Worker, _ int) error {
+	fut, err := pool.Submit(context.Background(), 1, 1, sched.QoS{}, func(_ *sched.Worker, _ int) error {
 		<-release
 		return nil
 	})

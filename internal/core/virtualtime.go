@@ -23,7 +23,7 @@ import (
 
 // EnableCostAccounting precomputes the per-task simulated costs of the
 // plan's C-tile groups and turns on cost charging for every subsequent
-// Run/RunParallel/Submit. Numeric execution is unchanged — outputs stay
+// Run/Submit. Numeric execution is unchanged — outputs stay
 // bit-identical — and runs on pools without a Timekeeper only pay the
 // per-task accounting add. Idempotent; safe to call concurrently with
 // execution.

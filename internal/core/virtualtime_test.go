@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -62,7 +63,7 @@ func TestVirtualTimeDeterminism(t *testing.T) {
 	fillVT(b, 2)
 
 	for run := 0; run < 2; run++ {
-		fut, err := p.Submit(c, a, b)
+		fut, err := p.Submit(context.Background(), c, a, b, 0, sched.QoS{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +114,11 @@ func TestVirtualTimeBitIdenticalOutputs(t *testing.T) {
 	p, pool := vtPlan(t, chip, m, n, k, 4)
 	pool.SetTimekeeper(sched.NewRecorder())
 	cPar := make([]float32, m*n)
-	if err := p.RunParallel(cPar, a, b, 4); err != nil {
+	fut, err := p.Submit(context.Background(), cPar, a, b, 4, sched.QoS{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fut.Wait(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -20,7 +20,7 @@ func TestPanicContained(t *testing.T) {
 	p := New(2, 4)
 	defer p.Close()
 	var ran int64
-	fut, err := p.Submit(8, 1, func(w *Worker, i int) error {
+	fut, err := p.Submit(context.Background(), 8, 1, QoS{}, func(w *Worker, i int) error {
 		if i == 2 {
 			panic("kaboom")
 		}
@@ -63,7 +63,7 @@ func TestPanicKeepsPoolServing(t *testing.T) {
 	// One panicking job per worker slot, so if panics killed workers the
 	// pool would be dead afterwards.
 	for r := 0; r < 4; r++ {
-		fut, err := p.Submit(2, 0, func(w *Worker, i int) error { panic(i) })
+		fut, err := p.Submit(context.Background(), 2, 0, QoS{}, func(w *Worker, i int) error { panic(i) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestPanicKeepsPoolServing(t *testing.T) {
 	// arrives.
 	arrived := make(chan int, 2)
 	release := make(chan struct{})
-	fut, err := p.Submit(2, 2, func(w *Worker, i int) error {
+	fut, err := p.Submit(context.Background(), 2, 2, QoS{}, func(w *Worker, i int) error {
 		arrived <- w.ID()
 		<-release
 		return nil
@@ -111,7 +111,7 @@ func TestPanicKeepsPoolServing(t *testing.T) {
 func TestPanicFreesInflightSlot(t *testing.T) {
 	p := New(1, 1)
 	defer p.Close()
-	fut, err := p.Submit(3, 0, func(w *Worker, i int) error { panic("slot") })
+	fut, err := p.Submit(context.Background(), 3, 0, QoS{}, func(w *Worker, i int) error { panic("slot") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestPanicFreesInflightSlot(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		f, err := p.Submit(1, 0, func(*Worker, int) error { return nil })
+		f, err := p.Submit(context.Background(), 1, 0, QoS{}, func(*Worker, int) error { return nil })
 		if err != nil {
 			done <- err
 			return
@@ -145,11 +145,11 @@ func TestSubmitContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran int64
-	if _, err := p.SubmitContext(ctx, 4, 0, func(*Worker, int) error {
+	if _, err := p.Submit(ctx, 4, 0, QoS{}, func(*Worker, int) error {
 		atomic.AddInt64(&ran, 1)
 		return nil
 	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SubmitContext = %v, want context.Canceled", err)
+		t.Fatalf("Submit = %v, want context.Canceled", err)
 	}
 	if atomic.LoadInt64(&ran) != 0 {
 		t.Error("tasks ran despite pre-cancelled context")
@@ -166,7 +166,7 @@ func TestCancelMidJobSkipsFrontier(t *testing.T) {
 	defer cancel()
 	const n = 100
 	var ran int64
-	fut, err := p.SubmitContext(ctx, n, 1, func(w *Worker, i int) error {
+	fut, err := p.Submit(ctx, n, 1, QoS{}, func(w *Worker, i int) error {
 		atomic.AddInt64(&ran, 1)
 		if i == 0 {
 			cancel()
@@ -194,7 +194,7 @@ func TestWaitContextEarlyReturn(t *testing.T) {
 	p := New(1, 2)
 	defer p.Close()
 	release := make(chan struct{})
-	fut, err := p.Submit(1, 0, func(*Worker, int) error {
+	fut, err := p.Submit(context.Background(), 1, 0, QoS{}, func(*Worker, int) error {
 		<-release
 		return nil
 	})
@@ -222,7 +222,7 @@ func TestSubmitContextBackpressureCancel(t *testing.T) {
 	p := New(1, 1)
 	defer p.Close()
 	release := make(chan struct{})
-	blocker, err := p.Submit(1, 0, func(*Worker, int) error {
+	blocker, err := p.Submit(context.Background(), 1, 0, QoS{}, func(*Worker, int) error {
 		<-release
 		return nil
 	})
@@ -233,7 +233,7 @@ func TestSubmitContextBackpressureCancel(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := p.SubmitContext(ctx, 1, 0, func(*Worker, int) error { return nil })
+		_, err := p.Submit(ctx, 1, 0, QoS{}, func(*Worker, int) error { return nil })
 		errc <- err
 	}()
 	// The submitter is (about to be) parked on backpressure; cancelling
@@ -243,10 +243,10 @@ func TestSubmitContextBackpressureCancel(t *testing.T) {
 	select {
 	case err := <-errc:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("blocked SubmitContext = %v, want context.Canceled", err)
+			t.Fatalf("blocked Submit = %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled SubmitContext still blocked on backpressure")
+		t.Fatal("cancelled Submit still blocked on backpressure")
 	}
 	close(release)
 	if err := blocker.Wait(); err != nil {
@@ -260,7 +260,7 @@ func TestSubmitContextBackpressureCancel(t *testing.T) {
 func TestCloseDuringBlockedSubmit(t *testing.T) {
 	p := New(1, 1)
 	release := make(chan struct{})
-	blocker, err := p.Submit(1, 0, func(*Worker, int) error {
+	blocker, err := p.Submit(context.Background(), 1, 0, QoS{}, func(*Worker, int) error {
 		<-release
 		return nil
 	})
@@ -269,7 +269,7 @@ func TestCloseDuringBlockedSubmit(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := p.Submit(1, 0, func(*Worker, int) error { return nil })
+		_, err := p.Submit(context.Background(), 1, 0, QoS{}, func(*Worker, int) error { return nil })
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -300,7 +300,7 @@ func TestCloseDuringBlockedSubmit(t *testing.T) {
 func TestCloseWithTimeoutReportsHungJob(t *testing.T) {
 	p := New(1, 2)
 	release := make(chan struct{})
-	fut, err := p.Submit(1, 0, func(*Worker, int) error {
+	fut, err := p.Submit(context.Background(), 1, 0, QoS{}, func(*Worker, int) error {
 		<-release
 		return nil
 	})
@@ -314,7 +314,7 @@ func TestCloseWithTimeoutReportsHungJob(t *testing.T) {
 	if !strings.Contains(err.Error(), "1 job(s)") {
 		t.Errorf("drain-timeout error %q does not report the stuck job count", err)
 	}
-	if _, err := p.Submit(1, 0, func(*Worker, int) error { return nil }); !errors.Is(err, ErrClosed) {
+	if _, err := p.Submit(context.Background(), 1, 0, QoS{}, func(*Worker, int) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after CloseWithTimeout = %v, want ErrClosed", err)
 	}
 	close(release)
@@ -336,7 +336,7 @@ func TestCloseWithTimeoutDrainsHealthyPool(t *testing.T) {
 	var ran int64
 	futs := make([]*Future, 6)
 	for i := range futs {
-		f, err := p.Submit(3, 0, func(*Worker, int) error {
+		f, err := p.Submit(context.Background(), 3, 0, QoS{}, func(*Worker, int) error {
 			atomic.AddInt64(&ran, 1)
 			return nil
 		})
@@ -372,7 +372,7 @@ func TestFaultHookInjectsError(t *testing.T) {
 		return nil
 	})
 	defer SetFaultHook(nil)
-	fut, err := p.Submit(4, 1, func(*Worker, int) error { return nil })
+	fut, err := p.Submit(context.Background(), 4, 1, QoS{}, func(*Worker, int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestFaultHookInjectsError(t *testing.T) {
 		t.Fatalf("Wait = %v, want injected error", err)
 	}
 	SetFaultHook(nil)
-	ok, err := p.Submit(4, 0, func(*Worker, int) error { return nil })
+	ok, err := p.Submit(context.Background(), 4, 0, QoS{}, func(*Worker, int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestFaultHookPanicContained(t *testing.T) {
 		return nil
 	})
 	defer SetFaultHook(nil)
-	fut, err := p.Submit(2, 0, func(*Worker, int) error { return nil })
+	fut, err := p.Submit(context.Background(), 2, 0, QoS{}, func(*Worker, int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

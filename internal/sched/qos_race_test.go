@@ -20,7 +20,7 @@ func TestOnDoneOrderingContract(t *testing.T) {
 	defer p.Close()
 
 	// 1. Callback observes the same (nil) error Wait returns, exactly once.
-	f, err := p.Submit(4, 0, func(w *Worker, task int) error { return nil })
+	f, err := p.Submit(context.Background(), 4, 0, QoS{}, func(w *Worker, task int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestOnDoneOrderingContract(t *testing.T) {
 
 	// 2. Registration after completion still fires, with the job's error.
 	boom := errors.New("boom")
-	ff, err := p.Submit(2, 0, func(w *Worker, task int) error { return boom })
+	ff, err := p.Submit(context.Background(), 2, 0, QoS{}, func(w *Worker, task int) error { return boom })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestOnDoneOrderingContract(t *testing.T) {
 
 	// 3. Exactly once, even with Wait racing from several goroutines.
 	var wg sync.WaitGroup
-	f3, err := p.Submit(8, 0, func(w *Worker, task int) error { return nil })
+	f3, err := p.Submit(context.Background(), 8, 0, QoS{}, func(w *Worker, task int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestCloseWithTimeoutClaimStorm(t *testing.T) {
 					return
 				default:
 				}
-				f, err := p.SubmitQoS(context.Background(), 3, 0, QoS{Class: classes[(g+i)%len(classes)]},
+				f, err := p.Submit(context.Background(), 3, 0, QoS{Class: classes[(g+i)%len(classes)]},
 					func(w *Worker, task int) error { return nil })
 				if err != nil {
 					// ErrClosed once the close lands, ErrAdmission for
@@ -162,7 +162,7 @@ func TestCancelQueuedUnclaimedJob(t *testing.T) {
 	defer p.Close()
 
 	gate := make(chan struct{})
-	blocker, err := p.Submit(1, 1, func(w *Worker, task int) error {
+	blocker, err := p.Submit(context.Background(), 1, 1, QoS{}, func(w *Worker, task int) error {
 		<-gate
 		return nil
 	})
@@ -171,7 +171,7 @@ func TestCancelQueuedUnclaimedJob(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Bool
-	f, err := p.SubmitQoS(ctx, 4, 0, QoS{Class: "parked"}, func(w *Worker, task int) error {
+	f, err := p.Submit(ctx, 4, 0, QoS{Class: "parked"}, func(w *Worker, task int) error {
 		ran.Store(true)
 		return nil
 	})
@@ -237,7 +237,7 @@ func TestStatsRelaxedSnapshot(t *testing.T) {
 	const jobs, tasksPer = 8, 16
 	var futs []*Future
 	for j := 0; j < jobs; j++ {
-		f, err := p.Submit(tasksPer, 0, func(w *Worker, task int) error {
+		f, err := p.Submit(context.Background(), tasksPer, 0, QoS{}, func(w *Worker, task int) error {
 			w.Charge(TaskCost{Cycles: 10, Bytes: 1})
 			return nil
 		})

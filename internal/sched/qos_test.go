@@ -21,7 +21,7 @@ func TestQoSDefaultClassFIFO(t *testing.T) {
 	var order []int
 	gate := make(chan struct{})
 	// Park the worker so every job queues before any is claimed.
-	blocker, err := p.Submit(1, 1, func(w *Worker, task int) error {
+	blocker, err := p.Submit(context.Background(), 1, 1, QoS{}, func(w *Worker, task int) error {
 		<-gate
 		return nil
 	})
@@ -31,7 +31,7 @@ func TestQoSDefaultClassFIFO(t *testing.T) {
 	var futs []*Future
 	for i := 0; i < 8; i++ {
 		i := i
-		f, err := p.Submit(1, 1, func(w *Worker, task int) error {
+		f, err := p.Submit(context.Background(), 1, 1, QoS{}, func(w *Worker, task int) error {
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
@@ -69,7 +69,7 @@ func TestQoSClassDepthAdmission(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	park := func(class string) (*Future, error) {
-		return p.SubmitQoS(context.Background(), 1, 1, QoS{Class: class}, func(w *Worker, task int) error {
+		return p.Submit(context.Background(), 1, 1, QoS{Class: class}, func(w *Worker, task int) error {
 			<-gate
 			return nil
 		})
@@ -110,7 +110,7 @@ func TestQoSExpiredDeadline(t *testing.T) {
 	p := New(1, 0)
 	defer p.Close()
 
-	_, err := p.SubmitQoS(context.Background(), 1, 1,
+	_, err := p.Submit(context.Background(), 1, 1,
 		QoS{Deadline: time.Now().Add(-time.Second)},
 		func(w *Worker, task int) error { return nil })
 	if !errors.Is(err, ErrAdmission) {
@@ -122,7 +122,7 @@ func TestQoSExpiredDeadline(t *testing.T) {
 	// queue; once a worker reaches it, the claim drains through the
 	// context fast-path without running the task.
 	gate := make(chan struct{})
-	blocker, err := p.Submit(1, 1, func(w *Worker, task int) error {
+	blocker, err := p.Submit(context.Background(), 1, 1, QoS{}, func(w *Worker, task int) error {
 		<-gate
 		return nil
 	})
@@ -130,7 +130,7 @@ func TestQoSExpiredDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ran atomic.Bool
-	f, err := p.SubmitQoS(context.Background(), 1, 1,
+	f, err := p.Submit(context.Background(), 1, 1,
 		QoS{Deadline: time.Now().Add(20 * time.Millisecond)},
 		func(w *Worker, task int) error {
 			ran.Store(true)
@@ -165,7 +165,7 @@ func TestQoSWeightedShare(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	gate := make(chan struct{})
-	blocker, err := p.Submit(1, 1, func(w *Worker, task int) error {
+	blocker, err := p.Submit(context.Background(), 1, 1, QoS{}, func(w *Worker, task int) error {
 		<-gate
 		return nil
 	})
@@ -175,7 +175,7 @@ func TestQoSWeightedShare(t *testing.T) {
 	var futs []*Future
 	enqueue := func(class string, n int) {
 		for i := 0; i < n; i++ {
-			f, err := p.SubmitQoS(context.Background(), 1, 1, QoS{Class: class}, func(w *Worker, task int) error {
+			f, err := p.Submit(context.Background(), 1, 1, QoS{Class: class}, func(w *Worker, task int) error {
 				mu.Lock()
 				order = append(order, class)
 				mu.Unlock()
@@ -236,7 +236,7 @@ func TestQoSWeightedDeterministic(t *testing.T) {
 		var mu sync.Mutex
 		var order []string
 		gate := make(chan struct{})
-		blocker, _ := p.Submit(1, 1, func(w *Worker, task int) error {
+		blocker, _ := p.Submit(context.Background(), 1, 1, QoS{}, func(w *Worker, task int) error {
 			<-gate
 			return nil
 		})
@@ -244,7 +244,7 @@ func TestQoSWeightedDeterministic(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			for _, class := range []string{"a", "b", "c"} {
 				class := class
-				f, err := p.SubmitQoS(context.Background(), 1, 1, QoS{Class: class}, func(w *Worker, task int) error {
+				f, err := p.Submit(context.Background(), 1, 1, QoS{Class: class}, func(w *Worker, task int) error {
 					mu.Lock()
 					order = append(order, class)
 					mu.Unlock()
@@ -287,7 +287,7 @@ func TestQoSQueueWaitCounters(t *testing.T) {
 	defer p.Close()
 
 	gate := make(chan struct{})
-	blocker, err := p.Submit(1, 1, func(w *Worker, task int) error {
+	blocker, err := p.Submit(context.Background(), 1, 1, QoS{}, func(w *Worker, task int) error {
 		<-gate
 		return nil
 	})
@@ -296,7 +296,7 @@ func TestQoSQueueWaitCounters(t *testing.T) {
 	}
 	var futs []*Future
 	for i := 0; i < 4; i++ {
-		f, err := p.Submit(1, 1, func(w *Worker, task int) error { return nil })
+		f, err := p.Submit(context.Background(), 1, 1, QoS{}, func(w *Worker, task int) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +336,7 @@ func TestQoSJobObserver(t *testing.T) {
 	p.SetTimekeeper(rec)
 	p.ConfigureClass("x", ClassConfig{Weight: 7})
 
-	f, err := p.SubmitQoS(context.Background(), 3, 2, QoS{Class: "x"}, func(w *Worker, task int) error { return nil })
+	f, err := p.Submit(context.Background(), 3, 2, QoS{Class: "x"}, func(w *Worker, task int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestQoSBackgroundYields(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	gate := make(chan struct{})
-	blocker, err := p.Submit(1, 1, func(w *Worker, task int) error {
+	blocker, err := p.Submit(context.Background(), 1, 1, QoS{}, func(w *Worker, task int) error {
 		<-gate
 		return nil
 	})
@@ -373,7 +373,7 @@ func TestQoSBackgroundYields(t *testing.T) {
 	var futs []*Future
 	add := func(class string, n int) {
 		for i := 0; i < n; i++ {
-			f, err := p.SubmitQoS(context.Background(), 1, 1, QoS{Class: class}, func(w *Worker, task int) error {
+			f, err := p.Submit(context.Background(), 1, 1, QoS{Class: class}, func(w *Worker, task int) error {
 				mu.Lock()
 				order = append(order, class)
 				mu.Unlock()
@@ -420,14 +420,14 @@ func TestQoSTrySubmitQoS(t *testing.T) {
 	defer p.Close()
 
 	gate := make(chan struct{})
-	f1, err := p.TrySubmitQoS(1, 1, QoS{Class: BackgroundClass}, func(w *Worker, task int) error {
+	f1, err := p.TrySubmit(1, 1, QoS{Class: BackgroundClass}, func(w *Worker, task int) error {
 		<-gate
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.TrySubmitQoS(1, 1, QoS{Class: BackgroundClass}, func(w *Worker, task int) error { return nil }); !errors.Is(err, ErrBusy) {
+	if _, err := p.TrySubmit(1, 1, QoS{Class: BackgroundClass}, func(w *Worker, task int) error { return nil }); !errors.Is(err, ErrBusy) {
 		t.Fatalf("at depth: got %v, want ErrBusy", err)
 	}
 	close(gate)
@@ -450,7 +450,7 @@ func TestConfigureClassWeightOnlyKeepsDepth(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	park := func() (*Future, error) {
-		return p.SubmitQoS(context.Background(), 1, 1, QoS{Class: "tenant"}, func(w *Worker, task int) error {
+		return p.Submit(context.Background(), 1, 1, QoS{Class: "tenant"}, func(w *Worker, task int) error {
 			<-gate
 			return nil
 		})
@@ -498,7 +498,7 @@ func TestPoolClassSnapshot(t *testing.T) {
 	if !ok || cs.Class != "tenant" || cs.Weight != 8 || cs.Depth != 3 {
 		t.Fatalf("Class(tenant) = %+v, %v", cs, ok)
 	}
-	f, err := p.Submit(1, 1, func(w *Worker, task int) error { return nil })
+	f, err := p.Submit(context.Background(), 1, 1, QoS{}, func(w *Worker, task int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,12 @@
 //
 // A job is one GEMM decomposed into independent tasks — the C-tile
 // groups of the plan's block grid. Tasks are claimed from a shared
-// atomic cursor, the same work-claiming discipline the old one-shot
-// RunParallel goroutines used, so an expensive edge group never
-// serializes the rest behind a static partition. Workers are not bound
-// to jobs: a worker that exhausts one job's claim frontier moves to the
-// next claimable job, and several workers gang up on a single large job
-// (up to the job's participant cap), so a batch of small shapes never
-// strands workers behind one slow GEMM.
+// atomic cursor, so an expensive edge group never serializes the rest
+// behind a static partition. Workers are not bound to jobs: a worker
+// that exhausts one job's claim frontier moves to the next claimable
+// job, and several workers gang up on a single large job (up to the
+// job's participant cap), so a batch of small shapes never strands
+// workers behind one slow GEMM.
 //
 // Scheduling policy: jobs park in per-class queues (see qos.go). A free
 // worker joins the job chosen by deterministic weighted claiming across
@@ -32,7 +31,7 @@
 // Failure semantics: a panic inside a task is contained — it is
 // converted into a *PanicError on the job (matching ErrPanicked), the
 // worker survives, the job's remaining claims are skipped, and the
-// future still fires. SubmitContext binds a job to a context:
+// future still fires. Submit binds each job to a context:
 // cancellation makes later claims skip work (the error-fast-path) and
 // wakes submitters blocked on backpressure; a QoS deadline rides the
 // same path. CloseWithTimeout bounds the drain and reports
@@ -317,49 +316,36 @@ func (f *Future) OnDone(fn func(error)) {
 // (<= 0 means all). Tasks are claimed in ascending index order; with
 // maxWorkers = 1 exactly one worker executes 0..tasks-1 sequentially.
 // Submit blocks while the pool is at its in-flight depth and returns
-// ErrClosed after Close. The job runs under the default QoS class.
-func (p *Pool) Submit(tasks, maxWorkers int, run func(w *Worker, task int) error) (*Future, error) {
-	return p.submit(context.Background(), tasks, maxWorkers, QoS{}, true, run)
-}
-
-// SubmitContext is Submit bound to a context. A context that fires
-// while the submitter is blocked on backpressure aborts the submission
-// with ctx.Err(); one that fires after acceptance cancels the job —
-// unclaimed tasks are skipped (claims drain without running work, the
-// same fast-path a task error takes), the job completes promptly, and
-// its future returns ctx.Err(). A task already running is not
-// interrupted. A nil context means Background.
-func (p *Pool) SubmitContext(ctx context.Context, tasks, maxWorkers int, run func(w *Worker, task int) error) (*Future, error) {
-	return p.submit(ctx, tasks, maxWorkers, QoS{}, true, run)
-}
-
-// SubmitQoS is SubmitContext with an explicit QoS: the job parks in
-// qos.Class's queue, is claimed at that class's weight, and — when
-// qos.Deadline is set — fails before claiming once the deadline
-// expires. Admission control applies: a class at its configured depth,
-// or a deadline already expired at submission, refuses the job with an
-// error matching ErrAdmission instead of blocking.
-func (p *Pool) SubmitQoS(ctx context.Context, tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
+// ErrClosed after Close.
+//
+// The job parks in qos.Class's queue ("" is DefaultClass), is claimed
+// at that class's weight, and — when qos.Deadline is set — fails before
+// claiming once the deadline expires. Admission control applies: a
+// class at its configured depth, or a deadline already expired at
+// submission, refuses the job with an error matching ErrAdmission
+// instead of blocking.
+//
+// A ctx that fires while the submitter is blocked on backpressure
+// aborts the submission with ctx.Err(); one that fires after acceptance
+// cancels the job — unclaimed tasks are skipped (claims drain without
+// running work, the same fast-path a task error takes), the job
+// completes promptly, and its future returns ctx.Err(). A task already
+// running is not interrupted. A nil context means Background.
+func (p *Pool) Submit(ctx context.Context, tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
 	return p.submit(ctx, tasks, maxWorkers, qos, true, run)
 }
 
-// TrySubmit is Submit without the backpressure wait: when the pool is
-// at its in-flight depth it fails immediately with ErrBusy instead of
-// blocking. Everything else matches Submit. It exists for best-effort
-// background work — a caller serving a latency-sensitive request must
-// never park behind the queue just to schedule an optimization.
-func (p *Pool) TrySubmit(tasks, maxWorkers int, run func(w *Worker, task int) error) (*Future, error) {
-	return p.submit(context.Background(), tasks, maxWorkers, QoS{}, false, run)
-}
-
-// TrySubmitQoS is TrySubmit with an explicit QoS — the non-blocking
-// submission the background planner uses to enqueue its DMT upgrades
-// under BackgroundClass.
-func (p *Pool) TrySubmitQoS(tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
+// TrySubmit is Submit without the backpressure wait or a context: when
+// the pool is at its in-flight depth it fails immediately with ErrBusy
+// instead of blocking. It exists for best-effort background work — the
+// tiered planner enqueues its upgrades with it under BackgroundClass,
+// because a caller serving a latency-sensitive request must never park
+// behind the queue just to schedule an optimization.
+func (p *Pool) TrySubmit(tasks, maxWorkers int, qos QoS, run func(w *Worker, task int) error) (*Future, error) {
 	return p.submit(context.Background(), tasks, maxWorkers, qos, false, run)
 }
 
-// submit is the single intake path behind every Submit variant:
+// submit is the single intake path behind Submit and TrySubmit:
 // validate, resolve the QoS class, apply admission control, wait out
 // (or refuse, for try-submits) pool-level backpressure, and accept the
 // job into its class queue.

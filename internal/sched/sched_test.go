@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -15,7 +16,7 @@ func TestPoolRunsAllTasks(t *testing.T) {
 	defer p.Close()
 	const n = 100
 	var ran [n]int32
-	fut, err := p.Submit(n, 0, func(w *Worker, i int) error {
+	fut, err := p.Submit(context.Background(), n, 0, QoS{}, func(w *Worker, i int) error {
 		atomic.AddInt32(&ran[i], 1)
 		return nil
 	})
@@ -45,7 +46,7 @@ func TestSingleWorkerOrder(t *testing.T) {
 	const n = 50
 	var order []int
 	var worker []int
-	fut, err := p.Submit(n, 1, func(w *Worker, i int) error {
+	fut, err := p.Submit(context.Background(), n, 1, QoS{}, func(w *Worker, i int) error {
 		order = append(order, i) // single participant: no race
 		worker = append(worker, w.ID())
 		return nil
@@ -78,13 +79,13 @@ func TestSingleWorkerOrder(t *testing.T) {
 // ErrClosed, and Close is idempotent.
 func TestCloseThenSubmit(t *testing.T) {
 	p := New(2, 4)
-	if _, err := p.Submit(1, 0, func(*Worker, int) error { return nil }); err != nil {
+	if _, err := p.Submit(context.Background(), 1, 0, QoS{}, func(*Worker, int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Submit(1, 0, func(*Worker, int) error { return nil }); !errors.Is(err, ErrClosed) {
+	if _, err := p.Submit(context.Background(), 1, 0, QoS{}, func(*Worker, int) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close: err = %v, want ErrClosed", err)
 	}
 	if err := p.Close(); err != nil {
@@ -99,7 +100,7 @@ func TestCloseDrainsAcceptedJobs(t *testing.T) {
 	var ran int64
 	futs := make([]*Future, 8)
 	for i := range futs {
-		f, err := p.Submit(4, 0, func(*Worker, int) error {
+		f, err := p.Submit(context.Background(), 4, 0, QoS{}, func(*Worker, int) error {
 			time.Sleep(time.Millisecond)
 			atomic.AddInt64(&ran, 1)
 			return nil
@@ -135,7 +136,7 @@ func TestQueueSaturation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f, err := p.Submit(3, 0, func(*Worker, int) error { return nil })
+			f, err := p.Submit(context.Background(), 3, 0, QoS{}, func(*Worker, int) error { return nil })
 			if err != nil {
 				t.Error(err)
 				return
@@ -166,7 +167,7 @@ func TestTaskErrorPropagates(t *testing.T) {
 	p := New(2, 4)
 	defer p.Close()
 	boom := errors.New("boom")
-	fut, err := p.Submit(20, 0, func(w *Worker, i int) error {
+	fut, err := p.Submit(context.Background(), 20, 0, QoS{}, func(w *Worker, i int) error {
 		if i == 3 {
 			return boom
 		}
@@ -178,7 +179,7 @@ func TestTaskErrorPropagates(t *testing.T) {
 	if err := fut.Wait(); !errors.Is(err, boom) {
 		t.Fatalf("Wait = %v, want boom", err)
 	}
-	ok, err := p.Submit(1, 0, func(*Worker, int) error { return nil })
+	ok, err := p.Submit(context.Background(), 1, 0, QoS{}, func(*Worker, int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestTaskErrorPropagates(t *testing.T) {
 func TestZeroTaskJob(t *testing.T) {
 	p := New(1, 1)
 	defer p.Close()
-	fut, err := p.Submit(0, 0, nil)
+	fut, err := p.Submit(context.Background(), 0, 0, QoS{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestWorkerIDsDense(t *testing.T) {
 	p := New(3, 8)
 	defer p.Close()
 	var bad int64
-	fut, err := p.Submit(64, 0, func(w *Worker, i int) error {
+	fut, err := p.Submit(context.Background(), 64, 0, QoS{}, func(w *Worker, i int) error {
 		if w.ID() < 0 || w.ID() >= p.Workers() {
 			atomic.AddInt64(&bad, 1)
 		}
@@ -237,7 +238,7 @@ func TestConcurrentMixedJobs(t *testing.T) {
 				n := 1 + (g+r)%7
 				maxW := 1 + r%4
 				var sum int64
-				f, err := p.Submit(n, maxW, func(w *Worker, i int) error {
+				f, err := p.Submit(context.Background(), n, maxW, QoS{}, func(w *Worker, i int) error {
 					atomic.AddInt64(&sum, int64(i)+1)
 					return nil
 				})

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -16,7 +17,7 @@ func TestRecorderObservesEveryTask(t *testing.T) {
 	p.SetTimekeeper(rec)
 
 	const n = 37
-	fut, err := p.Submit(n, 0, func(w *Worker, task int) error {
+	fut, err := p.Submit(context.Background(), n, 0, QoS{}, func(w *Worker, task int) error {
 		w.Charge(TaskCost{Cycles: float64(task + 1), Bytes: float64(2 * (task + 1))})
 		return nil
 	})
@@ -54,7 +55,7 @@ func TestChargeResetsBetweenTasks(t *testing.T) {
 	rec := NewRecorder()
 	p.SetTimekeeper(rec)
 
-	fut, err := p.Submit(4, 1, func(w *Worker, task int) error {
+	fut, err := p.Submit(context.Background(), 4, 1, QoS{}, func(w *Worker, task int) error {
 		if task%2 == 0 {
 			w.Charge(TaskCost{Cycles: 100})
 		}
@@ -86,7 +87,7 @@ func TestPerWorkerStats(t *testing.T) {
 	defer p.Close()
 
 	const n, perTask = 30, 7.0
-	fut, err := p.Submit(n, 0, func(w *Worker, task int) error {
+	fut, err := p.Submit(context.Background(), n, 0, QoS{}, func(w *Worker, task int) error {
 		w.Charge(TaskCost{Cycles: perTask})
 		return nil
 	})
@@ -128,7 +129,7 @@ func TestSkippedClaimsNotObserved(t *testing.T) {
 
 	boom := errors.New("boom")
 	var ran int64
-	fut, err := p.Submit(10, 1, func(w *Worker, task int) error {
+	fut, err := p.Submit(context.Background(), 10, 1, QoS{}, func(w *Worker, task int) error {
 		atomic.AddInt64(&ran, 1)
 		w.Charge(TaskCost{Cycles: 1})
 		if task == 2 {
@@ -160,7 +161,7 @@ func TestSkippedClaimsNotObserved(t *testing.T) {
 func TestNoTimekeeperStillCounts(t *testing.T) {
 	p := New(2, 0)
 	defer p.Close()
-	fut, err := p.Submit(8, 0, func(w *Worker, task int) error { return nil })
+	fut, err := p.Submit(context.Background(), 8, 0, QoS{}, func(w *Worker, task int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestJobIDsDistinct(t *testing.T) {
 	defer p.Close()
 	seen := map[int64]bool{}
 	for i := 0; i < 5; i++ {
-		fut, err := p.Submit(1, 0, func(w *Worker, task int) error { return nil })
+		fut, err := p.Submit(context.Background(), 1, 0, QoS{}, func(w *Worker, task int) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}

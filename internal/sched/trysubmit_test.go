@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -15,21 +16,21 @@ func TestTrySubmitBusy(t *testing.T) {
 	p := New(1, 1)
 	defer p.Close()
 	release := make(chan struct{})
-	fut, err := p.Submit(1, 1, func(_ *Worker, _ int) error {
+	fut, err := p.Submit(context.Background(), 1, 1, QoS{}, func(_ *Worker, _ int) error {
 		<-release
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.TrySubmit(1, 1, func(_ *Worker, _ int) error { return nil }); !errors.Is(err, ErrBusy) {
+	if _, err := p.TrySubmit(1, 1, QoS{}, func(_ *Worker, _ int) error { return nil }); !errors.Is(err, ErrBusy) {
 		t.Fatalf("TrySubmit at depth: err = %v, want ErrBusy", err)
 	}
 	close(release)
 	if err := fut.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	fut2, err := p.TrySubmit(1, 1, func(_ *Worker, _ int) error { return nil })
+	fut2, err := p.TrySubmit(1, 1, QoS{}, func(_ *Worker, _ int) error { return nil })
 	if err != nil {
 		t.Fatalf("TrySubmit after drain: %v", err)
 	}
@@ -43,7 +44,7 @@ func TestTrySubmitBusy(t *testing.T) {
 func TestTrySubmitClosed(t *testing.T) {
 	p := New(1, 1)
 	p.Close()
-	if _, err := p.TrySubmit(1, 1, func(_ *Worker, _ int) error { return nil }); !errors.Is(err, ErrClosed) {
+	if _, err := p.TrySubmit(1, 1, QoS{}, func(_ *Worker, _ int) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
@@ -57,7 +58,7 @@ func TestOnDone(t *testing.T) {
 
 	var fired atomic.Int64
 	errCh := make(chan error, 1)
-	fut, err := p.TrySubmit(4, 0, func(_ *Worker, _ int) error { return nil })
+	fut, err := p.TrySubmit(4, 0, QoS{}, func(_ *Worker, _ int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestOnDone(t *testing.T) {
 		fired.Add(1)
 		// Submitting from the continuation must not deadlock: it runs
 		// on a dedicated goroutine, not inside a pool worker.
-		f2, err2 := p.Submit(1, 1, func(_ *Worker, _ int) error { return err })
+		f2, err2 := p.Submit(context.Background(), 1, 1, QoS{}, func(_ *Worker, _ int) error { return err })
 		if err2 != nil {
 			errCh <- err2
 			return
@@ -85,7 +86,7 @@ func TestOnDone(t *testing.T) {
 	}
 
 	boom := fmt.Errorf("boom")
-	fut, err = p.TrySubmit(2, 0, func(_ *Worker, i int) error {
+	fut, err = p.TrySubmit(2, 0, QoS{}, func(_ *Worker, i int) error {
 		if i == 0 {
 			return boom
 		}

@@ -7,24 +7,24 @@ import (
 	"autogemm/internal/sched"
 )
 
-// This file generalizes the single-job replay (Simulate) to *batch*
-// schedules: many jobs, inter-job parallelism, and a scheduling policy
-// deciding which job a freed virtual worker joins. The task-level
-// discipline is unchanged — ascending-index claims within a job, a
-// worker stays on its job until the claim frontier is exhausted, fluid
-// compute/bandwidth progression under the shared hw.Topology contention
-// model. What the batch replay adds is the pool's *join* arbitration:
-// PolicyFIFO joins the lowest-ID joinable job (the pre-QoS scheduler),
-// PolicyWeighted runs the same stride-scheduled class credit as
-// sched.claimableLocked, so per-class queue-wait and makespan of the
-// two policies can be compared in bit-reproducible simulated cycles.
+// This file is the replay engine: many jobs, inter-job parallelism,
+// and a scheduling policy deciding which job a freed virtual worker
+// joins (Simulate is its one-job case). Within a job the discipline is
+// the scheduler's — ascending-index claims, a worker stays on its job
+// until the claim frontier is exhausted, fluid compute/bandwidth
+// progression under the shared hw.Topology contention model. Across
+// jobs, PolicyFIFO joins the lowest-ID joinable job (the pre-QoS
+// scheduler) and PolicyWeighted runs the same stride-scheduled class
+// credit as sched.claimableLocked, so per-class queue-wait and makespan
+// of the two policies can be compared in bit-reproducible simulated
+// cycles.
 //
-// Determinism mirrors Simulate: inputs are pure functions of the plans
-// (per-task costs, class/weight/cap metadata recorded at acceptance),
-// jobs are processed in ID order, classes in sorted-name order,
-// simultaneously-freed workers arbitrate in worker-ID order, and ties
-// between classes break toward the lowest head-job ID — identical
-// states always produce identical schedules.
+// Determinism: inputs are pure functions of the plans (per-task costs,
+// class/weight/cap metadata recorded at acceptance), jobs are processed
+// in ID order, classes in sorted-name order, simultaneously-freed
+// workers arbitrate in worker-ID order, and ties between classes break
+// toward the lowest head-job ID — identical states always produce
+// identical schedules.
 
 // Policy selects the join arbitration of a batch replay.
 type Policy int
@@ -123,9 +123,6 @@ func (c *batchClass) stride() uint64 {
 // costs — no penalties, no floor — matching Simulate's serial baseline,
 // so FIFO and weighted makespans coincide at W = 1 and only per-job
 // finish order differs.
-//
-// The existing single-job Simulate is intentionally left untouched:
-// its results (the -sim-scaling curves) stay bit-stable.
 func SimulateBatch(chip *hw.Chip, workers int, batch []Job, policy Policy) BatchResult {
 	top := hw.NewTopology(chip)
 	w := top.ClampCores(workers)

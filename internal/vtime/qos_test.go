@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"autogemm/internal/hw"
-	"autogemm/internal/sched"
 )
 
 func mixedBatch(n int) []Job {
@@ -154,33 +153,6 @@ func TestBatchSingleClassPoliciesCoincide(t *testing.T) {
 			if fifo.Jobs[i] != weighted.Jobs[i] {
 				t.Errorf("W=%d: job %d differs single-class: %+v vs %+v",
 					w, fifo.Jobs[i].ID, fifo.Jobs[i], weighted.Jobs[i])
-			}
-		}
-	}
-}
-
-// TestBatchSingleJobMatchesSimulate: a one-job batch reproduces the
-// single-job Simulate makespan exactly on every chip — SimulateBatch
-// generalizes the fluid model without perturbing it.
-func TestBatchSingleJobMatchesSimulate(t *testing.T) {
-	costs := make([]sched.TaskCost, 41)
-	for i := range costs {
-		costs[i] = sched.TaskCost{
-			Cycles: 5000 + float64(i*i%23)*97.25,
-			Bytes:  float64(i%6) * 16384,
-		}
-	}
-	for _, chip := range hw.All() {
-		for _, w := range []int{1, 2, chip.Cores} {
-			single := Simulate(chip, w, costs)
-			batch := SimulateBatch(chip, w, []Job{{ID: 1, Costs: costs}}, PolicyWeighted)
-			if batch.Makespan != single.Cycles {
-				t.Errorf("%s W=%d: batch makespan %v != Simulate cycles %v",
-					chip.Name, w, batch.Makespan, single.Cycles)
-			}
-			if batch.FloorBound != single.FloorBound {
-				t.Errorf("%s W=%d: FloorBound disagrees: batch %v, single %v",
-					chip.Name, w, batch.FloorBound, single.FloorBound)
 			}
 		}
 	}

@@ -61,7 +61,9 @@ func (r Result) Efficiency(base float64) float64 {
 
 // Simulate replays `costs` (per-task compute cycles and DRAM bytes, as
 // recorded by a sched.Timekeeper or precomputed by
-// core.Plan.TaskCosts) on `workers` virtual workers of the chip.
+// core.Plan.TaskCosts) on `workers` virtual workers of the chip. It is
+// SimulateBatch on a one-job batch: the single job's makespan is the
+// result's Cycles.
 //
 // Contention model, shared with the analytic estimator:
 //   - every task's compute cycles are scaled by the topology's
@@ -78,136 +80,9 @@ func (r Result) Efficiency(base float64) float64 {
 // exactly the in-order sum of the compute costs (matching the analytic
 // single-core estimate, which applies no penalties and no floor).
 func Simulate(chip *hw.Chip, workers int, costs []sched.TaskCost) Result {
-	top := hw.NewTopology(chip)
-	w := top.ClampCores(workers)
-	res := Result{
-		Workers: w,
-		Spanned: top.GroupsSpanned(w),
-		Busy:    make([]float64, w),
-		Tasks:   make([]int, w),
+	b := SimulateBatch(chip, workers, []Job{{Costs: costs}}, PolicyFIFO)
+	return Result{
+		Workers: b.Workers, Cycles: b.Makespan, Spanned: b.Spanned,
+		FloorBound: b.FloorBound, Busy: b.Busy, Tasks: b.Tasks,
 	}
-	n := len(costs)
-	if n == 0 {
-		return res
-	}
-
-	if w == 1 {
-		var sum float64
-		for _, c := range costs {
-			sum += c.Cycles
-		}
-		res.Cycles = sum
-		res.Busy[0] = sum
-		res.Tasks[0] = n
-		return res
-	}
-
-	penalty := top.SpanPenalty(w) * top.SyncPenalty(w)
-	groupBW := top.GroupBandwidth()
-
-	// Per-worker running-task state; cur[i] < 0 means idle (drained).
-	cur := make([]int, w)    // task index being run
-	rc := make([]float64, w) // remaining compute cycles
-	rb := make([]float64, w) // remaining DRAM bytes
-	group := make([]int, w)
-	for i := 0; i < w; i++ {
-		cur[i] = -1
-		group[i] = top.GroupOf(i)
-	}
-
-	next := 0
-	claim := func(i int) {
-		if next >= n {
-			cur[i] = -1
-			return
-		}
-		cur[i] = next
-		rc[i] = costs[next].Cycles * penalty
-		rb[i] = costs[next].Bytes
-		next++
-	}
-	for i := 0; i < w && next < n; i++ {
-		claim(i)
-	}
-
-	var now, totalBytes float64
-	for _, c := range costs {
-		totalBytes += c.Bytes
-	}
-
-	// Fluid event loop: compute advances at one cycle per cycle; a
-	// group's draining tasks share its bandwidth evenly. Each step
-	// advances to the earliest task completion, then frees that worker
-	// to claim the next task — the sched cursor discipline in virtual
-	// time.
-	nDrain := make([]int, top.Groups())
-	for {
-		active := false
-		for g := range nDrain {
-			nDrain[g] = 0
-		}
-		for i := 0; i < w; i++ {
-			if cur[i] >= 0 {
-				active = true
-				if rb[i] > 0 {
-					nDrain[group[i]]++
-				}
-			}
-		}
-		if !active {
-			break
-		}
-
-		// Earliest completion across active workers (ID order fixes
-		// float evaluation order).
-		dt := -1.0
-		for i := 0; i < w; i++ {
-			if cur[i] < 0 {
-				continue
-			}
-			t := rc[i]
-			if rb[i] > 0 {
-				share := groupBW / float64(nDrain[group[i]])
-				if tm := rb[i] / share; tm > t {
-					t = tm
-				}
-			}
-			if dt < 0 || t < dt {
-				dt = t
-			}
-		}
-
-		for i := 0; i < w; i++ {
-			if cur[i] < 0 {
-				continue
-			}
-			res.Busy[i] += dt
-			if rc[i] -= dt; rc[i] <= finishEps {
-				rc[i] = 0
-			}
-			if rb[i] > 0 {
-				share := groupBW / float64(nDrain[group[i]])
-				if rb[i] -= share * dt; rb[i] <= finishEps {
-					rb[i] = 0
-				}
-			}
-		}
-		now += dt
-		for i := 0; i < w; i++ {
-			if cur[i] >= 0 && rc[i] == 0 && rb[i] == 0 {
-				res.Tasks[i]++
-				claim(i)
-			}
-		}
-	}
-
-	res.Cycles = now
-	floor := totalBytes / top.SocketBandwidth()
-	if floor > res.Cycles {
-		res.Cycles = floor
-	}
-	if totalBytes > 0 && res.Cycles <= floor*(1+1e-9) {
-		res.FloorBound = true
-	}
-	return res
 }

@@ -1,6 +1,8 @@
 package vtime
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -195,5 +197,92 @@ func TestEmptyCosts(t *testing.T) {
 	res := Simulate(hw.KP920(), 4, nil)
 	if res.Cycles != 0 {
 		t.Errorf("Cycles=%v, want 0", res.Cycles)
+	}
+}
+
+// goldenCosts is a fixed mixed compute/traffic cost vector: heavy
+// enough in bytes that some chips run at the socket bandwidth floor.
+func goldenCosts() []sched.TaskCost {
+	costs := make([]sched.TaskCost, 41)
+	for i := range costs {
+		costs[i] = sched.TaskCost{
+			Cycles: 5000 + float64(i*i%23)*97.25,
+			Bytes:  float64(i%6) * (1 << 20),
+		}
+	}
+	return costs
+}
+
+// replayDigest hashes a result's exact per-worker accounting: the bits
+// of every Busy entry and every Tasks count, in worker order.
+func replayDigest(r Result) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, b := range r.Busy {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(b))
+		h.Write(buf[:])
+	}
+	for _, n := range r.Tasks {
+		binary.LittleEndian.PutUint64(buf[:], uint64(n))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestSimulateGolden pins Simulate's exact output bits — makespan,
+// floor flag and per-worker Busy/Tasks — on every modelled chip at
+// W = 1, 2 and all cores. The -sim-scaling curves are built from these
+// replays, so any change to the replay engine must leave them
+// bit-identical.
+func TestSimulateGolden(t *testing.T) {
+	golden := []struct {
+		chip    string
+		workers int
+		cycles  uint64 // math.Float64bits(Result.Cycles)
+		floor   bool
+		digest  uint64 // replayDigest(Result)
+	}{
+		{"KP920", 1, 0x410d036000000000, false, 0x6d2f267686a4af7},
+		{"KP920", 2, 0x4142e8ba2e8ba2ea, true, 0xce694e35c8cc93e6},
+		{"KP920", 8, 0x4142e8ba2e8ba2e9, true, 0x62f4ddd860a27d8e},
+		{"Graviton2", 1, 0x410d036000000000, false, 0x6d2f267686a4af7},
+		{"Graviton2", 2, 0x41350d79435e50d8, true, 0xf1e2fb7658b07565},
+		{"Graviton2", 16, 0x41350d79435e50d8, true, 0xf5e74d7c25645fcf},
+		{"Altra", 1, 0x410d036000000000, false, 0x6d2f267686a4af7},
+		{"Altra", 2, 0x4140000000000000, false, 0x988645c2f0d43031},
+		{"Altra", 70, 0x413b333333333335, false, 0x5582d023aa68870d},
+		{"M2", 1, 0x410d036000000000, false, 0x6d2f267686a4af7},
+		{"M2", 2, 0x414beb851eb851ec, true, 0x14ebdcc6170f6e97},
+		{"M2", 4, 0x414beb851eb851ed, true, 0xc5861814c7716f58},
+		{"A64FX", 1, 0x410d036000000000, false, 0x6d2f267686a4af7},
+		{"A64FX", 2, 0x412b800000000002, false, 0xd459f978e5b8cf62},
+		{"A64FX", 48, 0x4110800000000000, false, 0x4d13933041fbe354},
+	}
+	costs := goldenCosts()
+	var i int
+	for _, chip := range hw.All() {
+		for _, w := range []int{1, 2, chip.Cores} {
+			if i >= len(golden) {
+				t.Fatalf("no golden row for %s W=%d", chip.Name, w)
+			}
+			g := golden[i]
+			i++
+			if g.chip != chip.Name || g.workers != w {
+				t.Fatalf("golden row %d is %s W=%d, replay is %s W=%d", i-1, g.chip, g.workers, chip.Name, w)
+			}
+			r := Simulate(chip, w, costs)
+			if got := math.Float64bits(r.Cycles); got != g.cycles {
+				t.Errorf("%s W=%d: Cycles bits %#x, want %#x", chip.Name, w, got, g.cycles)
+			}
+			if r.FloorBound != g.floor {
+				t.Errorf("%s W=%d: FloorBound %v, want %v", chip.Name, w, r.FloorBound, g.floor)
+			}
+			if got := replayDigest(r); got != g.digest {
+				t.Errorf("%s W=%d: Busy/Tasks digest %#x, want %#x", chip.Name, w, got, g.digest)
+			}
+		}
+	}
+	if i != len(golden) {
+		t.Errorf("replayed %d configurations, golden has %d", i, len(golden))
 	}
 }

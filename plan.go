@@ -60,14 +60,17 @@ func (e *Engine) PlanFor(opts *Options, m, n, k int) (*Plan, error) {
 
 // MultiplyPlanned computes C += A·B executing an explicit plan — the
 // zero-planning hot path for serving workloads that multiply the same
-// shape many times. The plan must have been produced by (or loaded
-// into) an engine for the same chip.
+// shape many times. Like Multiply it runs as one single-worker job
+// under the engine's default class. The plan must come from this
+// engine's PlanFor or LoadPlan: a plan is bound to the scheduler and
+// classes of the engine that resolved it, so a plan from another engine
+// is refused — move it with LoadPlan(p.Encode()).
 func (e *Engine) MultiplyPlanned(p *Plan, c, a, b []float32) error {
 	if p == nil || p.p == nil {
 		return fmt.Errorf("autogemm: nil plan")
 	}
-	if p.p.Chip.Name != e.chip.Name {
-		return fmt.Errorf("autogemm: plan for chip %s used on %s", p.p.Chip.Name, e.chip.Name)
+	if p.eng != e {
+		return fmt.Errorf("autogemm: plan belongs to another engine; move it with LoadPlan(p.Encode())")
 	}
 	return wrapExec(p.p.Run(c, a, b))
 }
@@ -85,7 +88,7 @@ func (e *Engine) LoadPlan(data []byte) (*Plan, error) {
 		return nil, fmt.Errorf("%w: %w", ErrBadPlan, err)
 	}
 	cp, err := e.plans.Get(rec.Fingerprint, func() (*core.Plan, error) {
-		return core.Attach(e.chip, rec, core.Options{Runtime: e.sched})
+		return core.Attach(e.chip, rec, e.bind(core.Options{}))
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadPlan, err)

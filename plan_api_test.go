@@ -1,9 +1,12 @@
 package autogemm
 
 import (
+	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -238,6 +241,104 @@ func TestPlanMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestLoadPlanKeepsDefaultClass: a loaded plan executes under the
+// loading engine's WithDefaultClass, like a plan the engine resolved
+// itself — both through the plan handle and through Multiply hitting
+// the loaded plan in the cache.
+func TestLoadPlanKeepsDefaultClass(t *testing.T) {
+	s := testShapes[0]
+	src, _ := New("KP920")
+	p, err := src.PlanFor(nil, s.m, s.n, s.k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+
+	e, err := New("KP920", WithDefaultClass("tenant"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	loaded, err := e.LoadPlan(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := mulInputs(s.m, s.n, s.k, 11)
+	if err := e.Multiply(make([]float32, s.m*s.n), a, b, s.m, s.n, s.k); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.MultiplyPlanned(loaded, make([]float32, s.m*s.n), a, b); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.PlanCacheStats(); st.Built != 1 {
+		t.Fatalf("Built = %d, want 1 (Multiply must hit the loaded plan)", st.Built)
+	}
+	if cs, ok := e.ClassStats("tenant"); !ok || cs.Submitted != 2 {
+		t.Errorf("tenant class = %+v (present %v), want 2 jobs submitted", cs, ok)
+	}
+	if cs, ok := e.ClassStats(DefaultClass); ok && cs.Submitted != 0 {
+		t.Errorf("%d jobs ran under %q instead of the engine's default class", cs.Submitted, DefaultClass)
+	}
+}
+
+// TestMultiplyPlannedRefusesForeignPlan: a plan handle is bound to the
+// engine that resolved it. Another engine refuses it — it never runs on
+// the resolving engine's scheduler, so that engine's Close cannot fail
+// an open engine — and LoadPlan(Encode()) moves it across.
+func TestMultiplyPlannedRefusesForeignPlan(t *testing.T) {
+	s := testShapes[0]
+	src, _ := New("KP920")
+	dst, err := New("KP920")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	p, err := src.PlanFor(nil, s.m, s.n, s.k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+
+	a, b := mulInputs(s.m, s.n, s.k, 12)
+	got := make([]float32, s.m*s.n)
+	err = dst.MultiplyPlanned(p, got, a, b)
+	if err == nil || errors.Is(err, ErrClosed) {
+		t.Fatalf("foreign plan on an open engine: err = %v, want a refusal naming LoadPlan", err)
+	}
+	if !strings.Contains(err.Error(), "LoadPlan") {
+		t.Errorf("refusal %q does not point to LoadPlan", err)
+	}
+	if n := dst.PlanCacheStats().SchedJobsSubmitted; n != 0 {
+		t.Errorf("refused plan submitted %d jobs", n)
+	}
+
+	data, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved, err := dst.LoadPlan(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.MultiplyPlanned(moved, got, a, b); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float32, s.m*s.n)
+	if err := dst.Multiply(want, a, b, s.m, s.n, s.k); err != nil {
+		t.Fatal(err)
+	}
+	if !bitsEqual(got, want) {
+		t.Error("moved plan result differs from Multiply")
+	}
+	if n := dst.PlanCacheStats().SchedJobsSubmitted; n != 2 {
+		t.Errorf("SchedJobsSubmitted = %d, want 2 on the destination engine", n)
+	}
+}
+
 // TestRegistryWarmStart pre-bakes a registry with one engine and checks
 // a second engine (configured via option and via environment) serves
 // bit-identical results from it.
@@ -311,12 +412,16 @@ func TestTunePrimesPlanCache(t *testing.T) {
 
 	a, b := mulInputs(m, n, k, 9)
 	c := make([]float32, m*n)
-	if err := eng.MultiplyWith(&opts, c, a, b, m, n, k); err != nil {
+	f, err := eng.Submit(context.Background(), GEMM{C: c, A: a, B: b, M: m, N: n, K: k, Opts: &opts}, SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	st := eng.PlanCacheStats()
 	if st.Built != built {
-		t.Errorf("MultiplyWith(tuned options) re-planned: Built %d -> %d", built, st.Built)
+		t.Errorf("Submit(tuned options) re-planned: Built %d -> %d", built, st.Built)
 	}
 
 	p, err := eng.PlanFor(&opts, m, n, k)

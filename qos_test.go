@@ -1,6 +1,7 @@
 package autogemm
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -31,7 +32,7 @@ func TestSubmitOptsBitIdenticalToMultiply(t *testing.T) {
 		}
 
 		got := make([]float32, s.M*s.N)
-		f, err := e.SubmitOpts(GEMM{M: s.M, N: s.N, K: s.K, A: a, B: b, C: got},
+		f, err := e.Submit(context.Background(), GEMM{M: s.M, N: s.N, K: s.K, A: a, B: b, C: got},
 			SubmitOpts{QoS: QoS{Class: "latency"}})
 		if err != nil {
 			t.Fatalf("%s SubmitOpts: %v", s.Name, err)
@@ -42,10 +43,10 @@ func TestSubmitOptsBitIdenticalToMultiply(t *testing.T) {
 		diffBits(t, s.Name+" SubmitOpts", got, want)
 
 		batch := []GEMM{{M: s.M, N: s.N, K: s.K, A: a, B: b, C: make([]float32, s.M*s.N)}}
-		if err := e.MultiplyBatchOpts(batch, BatchOpts{QoS: QoS{Class: "latency", Weight: 8}}); err != nil {
-			t.Fatalf("%s MultiplyBatchOpts: %v", s.Name, err)
+		if err := e.MultiplyBatch(context.Background(), batch, SubmitOpts{QoS: QoS{Class: "latency", Weight: 8}}); err != nil {
+			t.Fatalf("%s MultiplyBatch: %v", s.Name, err)
 		}
-		diffBits(t, s.Name+" MultiplyBatchOpts", batch[0].C, want)
+		diffBits(t, s.Name+" MultiplyBatch", batch[0].C, want)
 	}
 }
 
@@ -68,7 +69,7 @@ func TestQoSAdmissionThroughAPI(t *testing.T) {
 	}
 
 	// Expired deadline: refused at admission before any task runs.
-	_, err = e.SubmitOpts(g(), SubmitOpts{QoS: QoS{Deadline: time.Now().Add(-time.Second)}})
+	_, err = e.Submit(context.Background(), g(), SubmitOpts{QoS: QoS{Deadline: time.Now().Add(-time.Second)}})
 	if !errors.Is(err, ErrAdmission) {
 		t.Fatalf("expired deadline: got %v, want ErrAdmission", err)
 	}
@@ -80,16 +81,16 @@ func TestQoSAdmissionThroughAPI(t *testing.T) {
 	bb := make([]float32, big.K*big.N)
 	refgemm.Fill(ba, big.M, big.K, big.K, 3)
 	refgemm.Fill(bb, big.K, big.N, big.N, 4)
-	blocker, err := e.Submit(GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
-		C: make([]float32, big.M*big.N)})
+	blocker, err := e.Submit(context.Background(), GEMM{M: big.M, N: big.N, K: big.K, A: ba, B: bb,
+		C: make([]float32, big.M*big.N)}, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, err := e.SubmitOpts(g(), SubmitOpts{QoS: QoS{Class: "tight"}})
+	f1, err := e.Submit(context.Background(), g(), SubmitOpts{QoS: QoS{Class: "tight"}})
 	if err != nil {
 		t.Fatalf("first tight job: %v", err)
 	}
-	_, err = e.SubmitOpts(g(), SubmitOpts{QoS: QoS{Class: "tight"}})
+	_, err = e.Submit(context.Background(), g(), SubmitOpts{QoS: QoS{Class: "tight"}})
 	if !errors.Is(err, ErrAdmission) {
 		t.Fatalf("over-depth submission: got %v, want ErrAdmission", err)
 	}
@@ -115,8 +116,8 @@ func TestQoSAdmissionThroughAPI(t *testing.T) {
 	}
 
 	// An inadmissible batch element reports ErrAdmission tagged with its
-	// index, per the MultiplyBatchOpts contract.
-	err = e.MultiplyBatchOpts([]GEMM{g()}, BatchOpts{QoS: QoS{Deadline: time.Now().Add(-time.Hour)}})
+	// index, per the MultiplyBatch contract.
+	err = e.MultiplyBatch(context.Background(), []GEMM{g()}, SubmitOpts{QoS: QoS{Deadline: time.Now().Add(-time.Hour)}})
 	if !errors.Is(err, ErrAdmission) {
 		t.Fatalf("batch with expired deadline: got %v, want ErrAdmission", err)
 	}
@@ -185,7 +186,7 @@ func TestConfigureClassRuntime(t *testing.T) {
 	b := make([]float32, s.K*s.N)
 	refgemm.Fill(a, s.M, s.K, s.K, 5)
 	refgemm.Fill(b, s.K, s.N, s.N, 6)
-	f, err := e.SubmitOpts(GEMM{M: s.M, N: s.N, K: s.K, A: a, B: b,
+	f, err := e.Submit(context.Background(), GEMM{M: s.M, N: s.N, K: s.K, A: a, B: b,
 		C: make([]float32, s.M*s.N)}, SubmitOpts{QoS: QoS{Class: "burst"}})
 	if err != nil {
 		t.Fatal(err)
