@@ -31,7 +31,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"autogemm/internal/asm"
 	"autogemm/internal/baselines"
 	"autogemm/internal/core"
 	"autogemm/internal/hw"
@@ -349,16 +348,6 @@ func (e *Engine) Tune(m, n, k, budget int) (Options, Perf, error) {
 	return best, perfOf(res.Estimate), nil
 }
 
-// GenerateKernel emits the assembly text of one auto-generated
-// micro-kernel (the paper's Listing 1 output) for inspection.
-func (e *Engine) GenerateKernel(mr, nr, kc int, rotate bool) (string, error) {
-	prog, err := e.kernelProgram(mr, nr, kc, rotate)
-	if err != nil {
-		return "", err
-	}
-	return prog.String(), nil
-}
-
 // PreferredTiles returns the high-AI register tiles the generator
 // prefers on this chip (Table II's blue shapes), as "MRxNR" strings.
 func (e *Engine) PreferredTiles() []string {
@@ -376,45 +365,48 @@ func perfOf(est core.Estimate) Perf {
 	}
 }
 
-// GenerateKernelS emits one micro-kernel as a complete GNU assembler .S
-// file with an AAPCS64 function wrapper, assemblable on Armv8 hardware.
-func (e *Engine) GenerateKernelS(mr, nr, kc int, rotate bool) (string, error) {
-	prog, err := e.kernelProgram(mr, nr, kc, rotate)
-	if err != nil {
-		return "", err
-	}
-	return prog.SFile(), nil
-}
+// KernelFormat selects how Engine.Kernel renders a micro-kernel.
+type KernelFormat int
 
-// GenerateKernelWords emits one micro-kernel as encoded AArch64 machine
-// words (.word directives). Only the NEON (4-lane) chips are encodable;
-// the SVE configuration's 16-lane element indices have no .4s encoding.
-func (e *Engine) GenerateKernelWords(mr, nr, kc int, rotate bool) (string, error) {
-	prog, err := e.kernelProgram(mr, nr, kc, rotate)
-	if err != nil {
-		return "", err
-	}
-	return prog.HexWords()
-}
+// Kernel renderings.
+const (
+	KernelAsm   KernelFormat = iota // assembly text (the paper's Listing 1 output)
+	KernelS                         // GNU assembler .S file with an AAPCS64 wrapper
+	KernelWords                     // encoded AArch64 machine words (.word directives)
+	KernelInfo                      // instruction mix, register usage, rotation and AI report
+)
 
-func (e *Engine) kernelProgram(mr, nr, kc int, rotate bool) (*asm.Program, error) {
-	return mkernel.Generate(mkernel.Config{
+// Kernel renders one auto-generated micro-kernel of an mr×nr tile at
+// accumulation depth kc for inspection. Every format describes the same
+// kernel configuration, so the KernelInfo counts match the KernelAsm
+// listing instruction for instruction. KernelWords encodes only the
+// NEON (4-lane) chips: the SVE configuration's 16-lane element indices
+// have no .4s encoding.
+func (e *Engine) Kernel(mr, nr, kc int, rotate bool, format KernelFormat) (string, error) {
+	cfg := mkernel.Config{
 		Tile: mkernel.Tile{MR: mr, NR: nr}, KC: kc, Lanes: e.chip.Lanes,
 		Rotate: rotate, LoadC: true, SigmaAI: e.chip.SigmaAI, Prefetch: true,
-	})
-}
-
-// KernelInfo reports a micro-kernel's instruction mix, register usage,
-// rotation scheme and arithmetic-intensity figures.
-func (e *Engine) KernelInfo(mr, nr, kc int, rotate bool) (string, error) {
-	info, err := mkernel.Describe(mkernel.Config{
-		Tile: mkernel.Tile{MR: mr, NR: nr}, KC: kc, Lanes: e.chip.Lanes,
-		Rotate: rotate, LoadC: true, SigmaAI: e.chip.SigmaAI,
-	})
+	}
+	if format == KernelInfo {
+		info, err := mkernel.Describe(cfg)
+		if err != nil {
+			return "", err
+		}
+		return info.String(), nil
+	}
+	prog, err := mkernel.Generate(cfg)
 	if err != nil {
 		return "", err
 	}
-	return info.String(), nil
+	switch format {
+	case KernelAsm:
+		return prog.String(), nil
+	case KernelS:
+		return prog.SFile(), nil
+	case KernelWords:
+		return prog.HexWords()
+	}
+	return "", fmt.Errorf("autogemm: unknown kernel format %d", format)
 }
 
 // DescribePlan renders the fully-resolved execution plan for a problem:

@@ -2,6 +2,8 @@ package autogemm
 
 import (
 	"context"
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -142,7 +144,7 @@ func TestTuneAPI(t *testing.T) {
 
 func TestGenerateKernelText(t *testing.T) {
 	e, _ := New("KP920")
-	asm, err := e.GenerateKernel(5, 16, 32, true)
+	asm, err := e.Kernel(5, 16, 32, true, KernelAsm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +153,59 @@ func TestGenerateKernelText(t *testing.T) {
 			t.Errorf("generated assembly missing %q", want)
 		}
 	}
-	if _, err := e.GenerateKernel(12, 16, 32, false); err == nil {
+	if _, err := e.Kernel(12, 16, 32, false, KernelAsm); err == nil {
 		t.Error("infeasible tile accepted")
+	}
+}
+
+// TestKernelInfoMatchesListing: the KernelInfo report describes the
+// kernel the KernelAsm listing prints — same instruction total, same
+// prefetch count — for rotated and plain variants on both ISAs.
+func TestKernelInfoMatchesListing(t *testing.T) {
+	mixRE := regexp.MustCompile(`static mix: (\d+) instructions \(.*, (\d+) prefetch\)`)
+	for _, tc := range []struct {
+		chip       string
+		mr, nr, kc int
+		rotate     bool
+	}{
+		{"KP920", 5, 16, 32, false},
+		{"KP920", 5, 16, 32, true},
+		{"KP920", 8, 8, 17, true},
+		{"A64FX", 4, 32, 16, false},
+	} {
+		e, err := New(tc.chip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		listing, err := e.Kernel(tc.mr, tc.nr, tc.kc, tc.rotate, KernelAsm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := e.Kernel(tc.mr, tc.nr, tc.kc, tc.rotate, KernelInfo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mix := mixRE.FindStringSubmatch(info)
+		if mix == nil {
+			t.Fatalf("%s %dx%dx%d: no instruction total in report:\n%s", tc.chip, tc.mr, tc.nr, tc.kc, info)
+		}
+		instrs, prfm := 0, 0
+		for _, line := range strings.Split(listing, "\n") {
+			if strings.HasPrefix(line, "\t") { // labels and the header are not indented
+				instrs++
+				if strings.HasPrefix(line, "\tprfm") {
+					prfm++
+				}
+			}
+		}
+		if got := fmt.Sprint(instrs); got != mix[1] {
+			t.Errorf("%s %dx%dx%d rotate=%v: listing has %s instructions, report says %s",
+				tc.chip, tc.mr, tc.nr, tc.kc, tc.rotate, got, mix[1])
+		}
+		if got := fmt.Sprint(prfm); got != mix[2] {
+			t.Errorf("%s %dx%dx%d rotate=%v: listing has %s prfm, report says %s",
+				tc.chip, tc.mr, tc.nr, tc.kc, tc.rotate, got, mix[2])
+		}
 	}
 }
 
@@ -172,7 +225,7 @@ func TestPreferredTiles(t *testing.T) {
 
 func TestGenerateKernelSAndWords(t *testing.T) {
 	e, _ := New("KP920")
-	s, err := e.GenerateKernelS(4, 16, 16, true)
+	s, err := e.Kernel(4, 16, 16, true, KernelS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +234,7 @@ func TestGenerateKernelSAndWords(t *testing.T) {
 			t.Errorf(".S output missing %q", want)
 		}
 	}
-	w, err := e.GenerateKernelWords(4, 16, 16, false)
+	w, err := e.Kernel(4, 16, 16, false, KernelWords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +243,7 @@ func TestGenerateKernelSAndWords(t *testing.T) {
 	}
 	// The SVE chip's 16-lane FMLA indices have no .4s encoding.
 	a64, _ := New("A64FX")
-	if _, err := a64.GenerateKernelWords(4, 32, 16, false); err == nil {
+	if _, err := a64.Kernel(4, 32, 16, false, KernelWords); err == nil {
 		t.Error("SVE kernel should not encode to NEON words")
 	}
 }

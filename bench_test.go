@@ -209,7 +209,7 @@ func BenchmarkKernelGeneration(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.GenerateKernel(5, 16, 64, true); err != nil {
+		if _, err := eng.Kernel(5, 16, 64, true, autogemm.KernelAsm); err != nil {
 			b.Fatal(err)
 		}
 	}

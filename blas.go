@@ -25,10 +25,10 @@ func (e *Engine) SGEMM(transA, transB bool, m, n, k int,
 	if err != nil {
 		return err
 	}
-	return plan.RunSGEMM(core.SGEMMParams{
+	return wrapExec(plan.RunSGEMM(core.SGEMMParams{
 		Alpha: alpha, Beta: beta,
 		TransA: core.Transpose(transA), TransB: core.Transpose(transB),
-	}, c, a, b)
+	}, c, a, b))
 }
 
 // CachedPlans reports how many resolved plans the engine holds.

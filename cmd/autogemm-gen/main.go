@@ -35,18 +35,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var out string
-	var err2 error
+	format := autogemm.KernelAsm
 	switch {
 	case *info:
-		out, err2 = eng.KernelInfo(*mr, *nr, *kc, *rotate)
+		format = autogemm.KernelInfo
 	case *sfile:
-		out, err2 = eng.GenerateKernelS(*mr, *nr, *kc, *rotate)
+		format = autogemm.KernelS
 	case *binary:
-		out, err2 = eng.GenerateKernelWords(*mr, *nr, *kc, *rotate)
-	default:
-		out, err2 = eng.GenerateKernel(*mr, *nr, *kc, *rotate)
+		format = autogemm.KernelWords
 	}
+	out, err2 := eng.Kernel(*mr, *nr, *kc, *rotate, format)
 	if err2 != nil {
 		fmt.Fprintln(os.Stderr, err2)
 		os.Exit(1)

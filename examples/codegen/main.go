@@ -21,14 +21,14 @@ func main() {
 	}
 
 	fmt.Println("=== basic generated micro-kernel 5x16, kc=8 (Listing 1) ===")
-	asm, err := eng.GenerateKernel(5, 16, 8, false)
+	asm, err := eng.Kernel(5, 16, 8, false, autogemm.KernelAsm)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(asm)
 
 	fmt.Println("\n=== with rotating register allocation (§III-C1) ===")
-	asm, err = eng.GenerateKernel(5, 16, 8, true)
+	asm, err = eng.Kernel(5, 16, 8, true, autogemm.KernelAsm)
 	if err != nil {
 		log.Fatal(err)
 	}

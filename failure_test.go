@@ -3,6 +3,7 @@ package autogemm
 import (
 	"context"
 	"errors"
+	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -239,6 +240,27 @@ func TestErrClosedWrapped(t *testing.T) {
 	if _, err := e.Submit(context.Background(),
 		GEMM{M: 8, N: 8, K: 8, A: buf(64), B: buf(64), C: buf(64)}, SubmitOpts{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestSGEMMErrClosedIdentity: SGEMM after Close reports the same error
+// identity as Multiply — autogemm.ErrClosed, served as 503 — instead of
+// a bare scheduler error that HTTPStatus maps to 500.
+func TestSGEMMErrClosedIdentity(t *testing.T) {
+	e, err := New("KP920")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	buf := func(n int) []float32 { return make([]float32, n) }
+	err = e.SGEMM(false, false, 8, 8, 8, 1, buf(64), buf(64), 0, buf(64))
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("SGEMM after Close: err = %v, want autogemm.ErrClosed", err)
+	}
+	if got := HTTPStatus(err); got != http.StatusServiceUnavailable {
+		t.Errorf("HTTPStatus(SGEMM after Close) = %d, want %d", got, http.StatusServiceUnavailable)
 	}
 }
 

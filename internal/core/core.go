@@ -302,78 +302,43 @@ func (p *Plan) blockTiling(m, n int) (tiling.Tiling, error) {
 	return tl, nil
 }
 
-// blocks enumerates the cache-block grid in the plan's loop order.
+// blockIter is one visit of the cache-block grid.
 type blockIter struct {
 	MOff, NOff, KOff int
 	MB, NB, KB       int
 	First            bool // first k chunk for this (m, n) block: β = 0
 }
 
+// loopDims gives each loop order's dimensions (0 = M, 1 = N, 2 = K)
+// from outermost to innermost.
+var loopDims = [...][3]int{
+	OrderMNK: {0, 1, 2},
+	OrderMKN: {0, 2, 1},
+	OrderNMK: {1, 0, 2},
+	OrderNKM: {1, 2, 0},
+	OrderKMN: {2, 0, 1},
+	OrderKNM: {2, 1, 0},
+}
+
+// blocks enumerates the cache-block grid in the plan's loop order.
 func (p *Plan) blocks() []blockIter {
-	var ms, ns, ks [][2]int
-	for off := 0; off < p.M; off += p.Opts.MC {
-		ms = append(ms, [2]int{off, min(p.Opts.MC, p.M-off)})
+	var spans [3][][2]int // per dimension: (offset, extent) of each block
+	for d, ext := range [3][2]int{{p.M, p.Opts.MC}, {p.N, p.Opts.NC}, {p.K, p.Opts.KC}} {
+		for off := 0; off < ext[0]; off += ext[1] {
+			spans[d] = append(spans[d], [2]int{off, min(ext[1], ext[0]-off)})
+		}
 	}
-	for off := 0; off < p.N; off += p.Opts.NC {
-		ns = append(ns, [2]int{off, min(p.Opts.NC, p.N-off)})
-	}
-	for off := 0; off < p.K; off += p.Opts.KC {
-		ks = append(ks, [2]int{off, min(p.Opts.KC, p.K-off)})
-	}
-	var out []blockIter
-	add := func(mi, ni, ki [2]int) {
-		out = append(out, blockIter{
-			MOff: mi[0], MB: mi[1], NOff: ni[0], NB: ni[1], KOff: ki[0], KB: ki[1],
-			First: ki[0] == 0,
-		})
-	}
-	switch p.Opts.Order {
-	case OrderMNK:
-		for _, mi := range ms {
-			for _, ni := range ns {
-				for _, ki := range ks {
-					add(mi, ni, ki)
-				}
-			}
-		}
-	case OrderMKN:
-		for _, mi := range ms {
-			for _, ki := range ks {
-				for _, ni := range ns {
-					add(mi, ni, ki)
-				}
-			}
-		}
-	case OrderNMK:
-		for _, ni := range ns {
-			for _, mi := range ms {
-				for _, ki := range ks {
-					add(mi, ni, ki)
-				}
-			}
-		}
-	case OrderNKM:
-		for _, ni := range ns {
-			for _, ki := range ks {
-				for _, mi := range ms {
-					add(mi, ni, ki)
-				}
-			}
-		}
-	case OrderKMN:
-		for _, ki := range ks {
-			for _, mi := range ms {
-				for _, ni := range ns {
-					add(mi, ni, ki)
-				}
-			}
-		}
-	default: // OrderKNM
-		for _, ki := range ks {
-			for _, ni := range ns {
-				for _, mi := range ms {
-					add(mi, ni, ki)
-				}
+	dims := loopDims[p.Opts.Order]
+	out := make([]blockIter, 0, len(spans[0])*len(spans[1])*len(spans[2]))
+	var at [3]int // block index per dimension
+	for at[dims[0]] = range spans[dims[0]] {
+		for at[dims[1]] = range spans[dims[1]] {
+			for at[dims[2]] = range spans[dims[2]] {
+				mi, ni, ki := spans[0][at[0]], spans[1][at[1]], spans[2][at[2]]
+				out = append(out, blockIter{
+					MOff: mi[0], MB: mi[1], NOff: ni[0], NB: ni[1], KOff: ki[0], KB: ki[1],
+					First: ki[0] == 0,
+				})
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"autogemm/internal/asm"
 	"autogemm/internal/mkernel"
 	"autogemm/internal/sim"
 )
@@ -50,6 +49,7 @@ func (p *Plan) EstimateExact() (Estimate, error) {
 
 	var est Estimate
 	est.Cores = 1
+	lw := loweringFor(chip, p.Opts)
 
 	for _, blk := range p.blocks() {
 		tl, err := p.blockTiling(blk.MB, blk.NB)
@@ -74,21 +74,34 @@ func (p *Plan) EstimateExact() (Estimate, error) {
 		est.PackCycles += pack
 		est.DRAMBytes += dram
 
-		for _, bd := range panelBands(tl, lanes) {
-			aArg := aBase + int64(bd.Row*lda*4)
-			bArg := bBase + int64(bd.Col*4)
-			cArg := cBuf + int64((bd.Row*cBufLD+bd.Col)*4)
-			cycles, err := p.timeBandExact(model, mach, bd, blk.KB, aArg, bArg, cArg, lda, ldb, cBufLD)
-			if err != nil {
-				return est, err
+		for _, bd := range tl.Bands(lanes) {
+			var bandCycles float64
+			for _, cl := range bd.Calls(blk.KB, lw) {
+				prog, err := p.cache.Program(cl)
+				if err != nil {
+					return est, err
+				}
+				for i := 0; i < cl.Count; i++ {
+					col := cl.ColOf(i)
+					mach.SetArg(0, aBase+int64(cl.Row*lda*4))
+					mach.SetArg(1, bBase+int64(col*4))
+					mach.SetArg(2, cBuf+int64((cl.Row*cBufLD+col)*4))
+					mach.SetArg(3, int64(lda))
+					mach.SetArg(4, int64(ldb))
+					mach.SetArg(5, int64(cBufLD))
+					res, err := model.RunAndTime(prog, mach, 1<<31)
+					if err != nil {
+						return est, err
+					}
+					bandCycles += float64(res.Cycles)
+				}
+				est.LaunchOver += float64(cl.Count) * float64(chip.LaunchCycles)
 			}
-			est.KernelCycles += cycles
-			est.LaunchOver += float64(chip.LaunchCycles)
-			if cycles > est.MaxBandCost {
-				est.MaxBandCost = cycles
+			est.KernelCycles += bandCycles
+			if bandCycles > est.MaxBandCost {
+				est.MaxBandCost = bandCycles
 			}
 		}
-		_ = cAddr
 	}
 
 	est.Cycles = est.KernelCycles + est.LaunchOver + est.PackCycles + float64(p.Opts.CallOverhead)
@@ -98,55 +111,4 @@ func (p *Plan) EstimateExact() (Estimate, error) {
 	est.GFLOPS = flops / est.Seconds / 1e9
 	est.Efficiency = est.GFLOPS / chip.PeakGFLOPS()
 	return est, nil
-}
-
-// timeBandExact runs one band (fused or tile-by-tile) functionally and
-// through the live-cache timing model, returning its cycles.
-func (p *Plan) timeBandExact(model *sim.Model, mach *sim.Machine, bd band, kc int,
-	aArg, bArg, cArg int64, lda, ldb, ldc int) (float64, error) {
-
-	run := func(prog *simProgArg) (float64, error) {
-		mach.SetArg(0, prog.a)
-		mach.SetArg(1, prog.b)
-		mach.SetArg(2, prog.c)
-		mach.SetArg(3, int64(lda))
-		mach.SetArg(4, int64(ldb))
-		mach.SetArg(5, int64(ldc))
-		res, err := model.RunAndTime(prog.p, mach, 1<<31)
-		if err != nil {
-			return 0, err
-		}
-		return float64(res.Cycles), nil
-	}
-
-	if p.Opts.Fuse && totalTiles(bd.Segs) > 1 {
-		prog, err := p.cache.Band(bandConfigFor(p.Chip, p.Opts, bd.Segs, kc))
-		if err != nil {
-			return 0, err
-		}
-		return run(&simProgArg{p: prog, a: aArg, b: bArg, c: cArg})
-	}
-	total := 0.0
-	colOff := int64(0)
-	for _, seg := range bd.Segs {
-		for i := 0; i < seg.Count; i++ {
-			prog, err := p.cache.Kernel(kernelConfigFor(p.Chip, p.Opts, seg.Tile, kc))
-			if err != nil {
-				return 0, err
-			}
-			c, err := run(&simProgArg{p: prog, a: aArg, b: bArg + colOff, c: cArg + colOff})
-			if err != nil {
-				return 0, err
-			}
-			total += c
-			colOff += int64(seg.Tile.NR) * 4
-		}
-	}
-	return total, nil
-}
-
-// simProgArg bundles a kernel with its argument pointers for one run.
-type simProgArg struct {
-	p       *asm.Program
-	a, b, c int64
 }

@@ -8,19 +8,7 @@ import (
 	"autogemm/internal/mkernel"
 	"autogemm/internal/sched"
 	"autogemm/internal/sim/compile"
-	"autogemm/internal/tiling"
 )
-
-// band is one row strip of a panel, decomposed by tiling.Bands — the
-// same derivation the planner's key enumeration and the plan auditor
-// use, so the three can never disagree about which kernels a tiling
-// runs.
-type band = tiling.Band
-
-// panelBands decomposes a tiling into bands; see tiling.Bands.
-func panelBands(tl tiling.Tiling, lanes int) []band {
-	return tl.Bands(lanes)
-}
 
 // kernelFuel bounds taken loop branches per kernel invocation — a
 // backstop against generator bugs, matching the interpreter's step cap.
@@ -61,13 +49,17 @@ type bandCall struct {
 }
 
 // blockProg is the fully-resolved program of one block shape (MB, NB,
-// KB): its band decomposition and, when every kernel compiled, the
-// compiled call sequence. It is built once per shape — repeated block
-// visits (and repeated Run calls on a cached plan) skip straight to
-// kernel execution with no per-visit banding or cache lookups.
+// KB): its bands lowered to kernel calls (tiling.Band.Calls, the same
+// lowering the planner's key enumeration, the estimators and the plan
+// auditor use), whether those calls fit the block without overhang,
+// and, when every kernel compiled, the compiled call sequence. It is
+// built once per shape — repeated block visits (and repeated Run calls
+// on a cached plan) skip straight to kernel execution with no per-visit
+// banding, lowering or cache lookups on the compiled path.
 type blockProg struct {
 	once       sync.Once
-	bands      []band
+	lowered    []mkernel.Call
+	fits       bool
 	calls      []bandCall
 	compiledOK bool
 	err        error
@@ -91,9 +83,13 @@ func (p *Plan) blockProgram(blk blockIter) (*blockProg, error) {
 			bp.err = err
 			return
 		}
-		bp.bands = panelBands(tl, p.Chip.Lanes)
+		lw := loweringFor(p.Chip, p.Opts)
+		for _, bd := range tl.Bands(p.Chip.Lanes) {
+			bp.lowered = append(bp.lowered, bd.Calls(blk.KB, lw)...)
+		}
+		bp.fits = callsFit(bp.lowered, blk.MB, blk.NB)
 		if !p.interpOnly {
-			bp.calls, bp.compiledOK = p.resolveCalls(bp.bands, blk.KB)
+			bp.calls, bp.compiledOK = p.resolveCalls(bp.lowered)
 		}
 	})
 	return bp, bp.err
@@ -113,49 +109,39 @@ func (p *Plan) runBlock(st *execState, blk blockIter, c, a, b []float32) error {
 		return err
 	}
 	if !p.interpOnly && bp.compiledOK {
-		done, err := p.runBlockCompiled(st, blk, bp.bands, bp.calls, c, a, b)
+		done, err := p.runBlockCompiled(st, blk, bp.fits, bp.calls, c, a, b)
 		if done || err != nil {
 			return err
 		}
 	}
-	return p.runBlockInterp(st, blk, bp.bands, c, a, b)
+	return p.runBlockInterp(st, blk, bp.lowered, c, a, b)
 }
 
-// resolveCalls lowers the block's bands to compiled kernel invocations.
-// ok is false when any kernel failed to compile — the analyzer could
-// not prove its bounds — and the caller must use the interpreter. The
-// kernel cache memoizes failures, so repeated blocks do not re-analyze.
-func (p *Plan) resolveCalls(bands []band, kc int) (calls []bandCall, ok bool) {
-	for _, bd := range bands {
-		if p.Opts.Fuse && totalTiles(bd.Segs) > 1 {
-			cp, err := p.cache.CompiledBand(bandConfigFor(p.Chip, p.Opts, bd.Segs, kc))
-			if err != nil {
-				return nil, false
-			}
-			calls = append(calls, bandCall{cp: cp, row: bd.Row, col: bd.Col})
-			continue
+// resolveCalls resolves a block's lowered calls to compiled kernel
+// invocations, one per launch. ok is false when any kernel failed to
+// compile — the analyzer could not prove its bounds — and the caller
+// must use the interpreter. The kernel cache memoizes failures, so
+// repeated blocks do not re-analyze.
+func (p *Plan) resolveCalls(lowered []mkernel.Call) (calls []bandCall, ok bool) {
+	for _, cl := range lowered {
+		cp, err := p.cache.Compiled(cl)
+		if err != nil {
+			return nil, false
 		}
-		col := bd.Col
-		for _, seg := range bd.Segs {
-			cp, err := p.cache.CompiledKernel(kernelConfigFor(p.Chip, p.Opts, seg.Tile, kc))
-			if err != nil {
-				return nil, false
-			}
-			for i := 0; i < seg.Count; i++ {
-				calls = append(calls, bandCall{cp: cp, row: bd.Row, col: col})
-				col += seg.Tile.NR
-			}
+		for i := 0; i < cl.Count; i++ {
+			calls = append(calls, bandCall{cp: cp, row: cl.Row, col: cl.ColOf(i)})
 		}
 	}
 	return calls, true
 }
 
-// blockFits reports whether every band stays geometrically inside the
-// block extents — no padded row or column overhang — the precondition
-// for storing C in place.
-func blockFits(bands []band, blk blockIter) bool {
-	for _, bd := range bands {
-		if bd.Row+bd.MR > blk.MB || bd.Col+bd.Width() > blk.NB {
+// callsFit reports whether every launch of the calls stays
+// geometrically inside an mb×nb block — no padded row or column
+// overhang — the precondition for storing C in place.
+func callsFit(calls []mkernel.Call, mb, nb int) bool {
+	for _, cl := range calls {
+		rows, cols := cl.Extent()
+		if cl.Row+rows > mb || cl.ColOf(cl.Count-1)+cols > nb {
 			return false
 		}
 	}
@@ -166,7 +152,7 @@ func blockFits(bands []band, blk blockIter) bool {
 // done is false when the scratch prechecks fail (the caller then uses
 // the interpreter); the decision is made before any operand is written,
 // so a fallback never observes a half-executed block.
-func (p *Plan) runBlockCompiled(st *execState, blk blockIter, bands []band, calls []bandCall, c, a, b []float32) (bool, error) {
+func (p *Plan) runBlockCompiled(st *execState, blk blockIter, fits bool, calls []bandCall, c, a, b []float32) (bool, error) {
 	k, n := p.K, p.N
 	env := st.env
 	inPlaceAB := p.Opts.Pack == PackNone
@@ -179,7 +165,7 @@ func (p *Plan) runBlockCompiled(st *execState, blk blockIter, bands []band, call
 	// Tier 1: everything in place. Requires exact geometric fit (stores
 	// into padding would clobber neighbouring C data) and every call's
 	// panel precheck passing against the real slice extents.
-	if inPlaceAB && blockFits(bands, blk) {
+	if inPlaceAB && fits {
 		ok := true
 		for _, cl := range calls {
 			if cl.cp.Precheck(len(a), len(b), len(c),
@@ -270,9 +256,10 @@ func (p *Plan) runBlockCompiled(st *execState, blk blockIter, bands []band, call
 
 // runBlockInterp executes the block on the checked interpreter: the
 // operand regions are copied into the worker's frozen arena (a dense
-// pack — functionally identical for every packing mode), the bands run
-// through sim.Machine, and the C region is copied back.
-func (p *Plan) runBlockInterp(st *execState, blk blockIter, bands []band, c, a, b []float32) error {
+// pack — functionally identical for every packing mode), every launch
+// of the lowered calls runs through sim.Machine, and the C region is
+// copied back.
+func (p *Plan) runBlockInterp(st *execState, blk blockIter, lowered []mkernel.Call, c, a, b []float32) error {
 	lanes := p.Chip.Lanes
 	st.ensureInterp(lanes)
 	k, n := p.K, p.N
@@ -291,12 +278,23 @@ func (p *Plan) runBlockInterp(st *execState, blk blockIter, bands []band, c, a, 
 		copy(cDst[i*ldc:i*ldc+blk.NB], c[(blk.MOff+i)*n+blk.NOff:])
 	}
 
-	for _, bd := range bands {
-		aArg := st.aReg + int64(bd.Row*lda*4)
-		bArg := st.bReg + int64(bd.Col*4)
-		cArg := st.cReg + int64((bd.Row*ldc+bd.Col)*4)
-		if err := p.runBandInterp(st, bd, blk.KB, aArg, bArg, cArg, lda, ldb, ldc); err != nil {
+	mach := st.mach
+	for _, cl := range lowered {
+		prog, err := p.cache.Program(cl)
+		if err != nil {
 			return err
+		}
+		for i := 0; i < cl.Count; i++ {
+			col := cl.ColOf(i)
+			mach.SetArg(0, st.aReg+int64(cl.Row*lda*4))
+			mach.SetArg(1, st.bReg+int64(col*4))
+			mach.SetArg(2, st.cReg+int64((cl.Row*ldc+col)*4))
+			mach.SetArg(3, int64(lda))
+			mach.SetArg(4, int64(ldb))
+			mach.SetArg(5, int64(ldc))
+			if err := mach.Run(prog, kernelFuel); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -305,50 +303,4 @@ func (p *Plan) runBlockInterp(st *execState, blk blockIter, bands []band, c, a, 
 	}
 	atomic.AddInt64(&p.nInterp, 1)
 	return nil
-}
-
-// runBandInterp executes one band on the machine, fused or tile-by-tile.
-func (p *Plan) runBandInterp(st *execState, bd band, kc int, aArg, bArg, cArg int64, lda, ldb, ldc int) error {
-	mach := st.mach
-	if p.Opts.Fuse && totalTiles(bd.Segs) > 1 {
-		prog, err := p.cache.Band(bandConfigFor(p.Chip, p.Opts, bd.Segs, kc))
-		if err != nil {
-			return err
-		}
-		mach.SetArg(0, aArg)
-		mach.SetArg(1, bArg)
-		mach.SetArg(2, cArg)
-		mach.SetArg(3, int64(lda))
-		mach.SetArg(4, int64(ldb))
-		mach.SetArg(5, int64(ldc))
-		return mach.Run(prog, kernelFuel)
-	}
-	colOff := int64(0)
-	for _, seg := range bd.Segs {
-		for i := 0; i < seg.Count; i++ {
-			prog, err := p.cache.Kernel(kernelConfigFor(p.Chip, p.Opts, seg.Tile, kc))
-			if err != nil {
-				return err
-			}
-			mach.SetArg(0, aArg)
-			mach.SetArg(1, bArg+colOff)
-			mach.SetArg(2, cArg+colOff)
-			mach.SetArg(3, int64(lda))
-			mach.SetArg(4, int64(ldb))
-			mach.SetArg(5, int64(ldc))
-			if err := mach.Run(prog, kernelFuel); err != nil {
-				return err
-			}
-			colOff += int64(seg.Tile.NR) * 4
-		}
-	}
-	return nil
-}
-
-func totalTiles(segs []mkernel.Segment) int {
-	n := 0
-	for _, s := range segs {
-		n += s.Count
-	}
-	return n
 }

@@ -125,19 +125,6 @@ func resolveBlocking(chip *hw.Chip, m, n, k int, o *Options) {
 	}
 }
 
-// blockShapes returns the distinct block extents of a dimension: the
-// full block size and the remainder, if any.
-func blockShapes(total, bs int) []int {
-	if bs >= total {
-		return []int{total}
-	}
-	out := []int{bs}
-	if rem := total % bs; rem > 0 {
-		out = append(out, rem)
-	}
-	return out
-}
-
 // tilerFor returns the strategy instance planning uses, applying the
 // residency-derived load latency and any candidate restriction when the
 // strategy is DMT (default or explicit).
@@ -225,9 +212,9 @@ func newProduceEnv(chip *hw.Chip, m, n, k int, opts Options) (*produceEnv, error
 		hier:    cache.NewHierarchy(chip),
 		popt:    perfmodel.Opt{Rotate: o.Rotate, Fuse: o.Fuse},
 		kcTile:  min(o.KC, k),
-		mShapes: blockShapes(m, o.MC),
-		nShapes: blockShapes(n, o.NC),
-		kShapes: blockShapes(k, o.KC),
+		mShapes: plan.BlockExtents(m, o.MC),
+		nShapes: plan.BlockExtents(n, o.NC),
+		kShapes: plan.BlockExtents(k, o.KC),
 	}, nil
 }
 
@@ -246,6 +233,7 @@ func (e *produceEnv) build(source string, tile func(mb, nb, lat int) (tiling.Til
 	bld.SetSource(source)
 
 	keys := map[mkernel.Key]bool{}
+	lw := loweringFor(e.chip, e.o)
 	for _, mb := range e.mShapes {
 		for _, nb := range e.nShapes {
 			lat := e.latFor(nb)
@@ -262,14 +250,11 @@ func (e *produceEnv) build(source string, tile func(mb, nb, lat int) (tiling.Til
 			bld.AddBlock(blk)
 
 			// Kernel keys for every k-chunk depth this block executes at.
+			bands := tl.Bands(e.chip.Lanes)
 			for _, kb := range e.kShapes {
-				for _, bd := range tl.Bands(e.chip.Lanes) {
-					if e.o.Fuse && totalTiles(bd.Segs) > 1 {
-						keys[bandConfigFor(e.chip, e.o, bd.Segs, kb).Key()] = true
-						continue
-					}
-					for _, seg := range bd.Segs {
-						keys[kernelConfigFor(e.chip, e.o, seg.Tile, kb).Key()] = true
+				for _, bd := range bands {
+					for _, cl := range bd.Calls(kb, lw) {
+						keys[cl.Key()] = true
 					}
 				}
 			}
@@ -428,18 +413,12 @@ func gridCount(total, bs, size int) int {
 	return 1 // remainder block
 }
 
-// bandConfigFor builds the fused band-kernel configuration for a band
-// at a given k-chunk depth. The construction itself lives in mkernel
-// (PlanBandConfig) so the planner, the executor, the estimator and the
-// plan auditor all address identical cache keys.
-func bandConfigFor(chip *hw.Chip, o Options, segs []mkernel.Segment, kb int) mkernel.BandConfig {
-	return mkernel.PlanBandConfig(segs, kb, chip.Lanes, o.Rotate, chip.SigmaAI)
-}
-
-// kernelConfigFor builds the single-tile kernel configuration for one
-// tile at a given k-chunk depth; see bandConfigFor.
-func kernelConfigFor(chip *hw.Chip, o Options, t mkernel.Tile, kb int) mkernel.Config {
-	return mkernel.PlanKernelConfig(t, kb, chip.Lanes, o.Rotate, chip.SigmaAI)
+// loweringFor returns what the plan's bands lower under: the chip's
+// σ_lane and σ_AI and the resolved rotation and fusion choices. The
+// planner declares keys for, and the executor and estimators run,
+// exactly the calls tiling.Band.Calls derives from it.
+func loweringFor(chip *hw.Chip, o Options) tiling.Lowering {
+	return tiling.Lowering{Lanes: chip.Lanes, SigmaAI: chip.SigmaAI, Rotate: o.Rotate, Fuse: o.Fuse}
 }
 
 // Attach binds an executor to a produced (or deserialized) recipe. The
@@ -513,8 +492,8 @@ func Attach(chip *hw.Chip, rec *plan.Plan, runtime Options) (*Plan, error) {
 		p.tilings[[2]int{blk.M, blk.N}] = tl
 	}
 	// Every block shape of the grid must be covered by the recipe.
-	for _, mb := range blockShapes(p.M, o.MC) {
-		for _, nb := range blockShapes(p.N, o.NC) {
+	for _, mb := range plan.BlockExtents(p.M, o.MC) {
+		for _, nb := range plan.BlockExtents(p.N, o.NC) {
 			if _, ok := p.tilings[[2]int{mb, nb}]; !ok {
 				return nil, fmt.Errorf("core: plan missing tiling for block %dx%d", mb, nb)
 			}

@@ -70,8 +70,8 @@ func (i Info) String() string {
 	default:
 		b.WriteString("\n")
 	}
-	fmt.Fprintf(&b, "  static mix: %d FMA, %d loads, %d stores, %d ALU, %d prefetch\n",
-		i.Instrs.FMA, i.Instrs.Loads, i.Instrs.Stores, i.Instrs.ALU, i.Instrs.Prfm)
+	fmt.Fprintf(&b, "  static mix: %d instructions (%d FMA, %d loads, %d stores, %d ALU, %d prefetch)\n",
+		i.Instrs.Total, i.Instrs.FMA, i.Instrs.Loads, i.Instrs.Stores, i.Instrs.ALU, i.Instrs.Prfm)
 	fmt.Fprintf(&b, "  %.0f FLOPs (%.1f per static instruction)\n", i.FLOPs, i.FLOPsPerIns)
 	return b.String()
 }

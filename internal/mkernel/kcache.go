@@ -11,14 +11,8 @@ import (
 // Key identifies one kernel variant in the cache — the same string a
 // serialized execution plan records in its KernelKeys list, so a
 // registry-loaded plan and a freshly produced one address identical
-// cache entries. Config.Key and BandConfig.Key are the only producers.
+// cache entries. Call.Key is the only producer.
 type Key string
-
-// Key returns the unified cache key for a micro-kernel configuration.
-func (c Config) Key() Key { return Key(c.Name()) }
-
-// Key returns the unified cache key for a band-kernel configuration.
-func (c BandConfig) Key() Key { return Key(c.Name()) }
 
 // Cache memoizes generated kernels by their unified Key. Kernel
 // generation is cheap but plans request the same corner-case shapes
@@ -70,25 +64,19 @@ func (c *Cache) entry(key Key, generate func() (*asm.Program, error)) *cacheEntr
 	return e
 }
 
-// Kernel returns the (possibly cached) kernel for cfg.
-func (c *Cache) Kernel(cfg Config) (*asm.Program, error) {
-	e := c.entry(cfg.Key(), func() (*asm.Program, error) { return Generate(cfg) })
+// Program returns the (possibly cached) asm form of a call's kernel.
+func (c *Cache) Program(cl Call) (*asm.Program, error) {
+	e := c.entry(cl.Key(), cl.generate)
 	return e.prog, e.err
 }
 
-// Band returns the (possibly cached) band kernel for cfg.
-func (c *Cache) Band(cfg BandConfig) (*asm.Program, error) {
-	e := c.entry(cfg.Key(), func() (*asm.Program, error) { return GenerateBand(cfg) })
-	return e.prog, e.err
-}
-
-// compiled resolves the compiled form of an entry, building it at most
-// once under the cache lock (compilation is deterministic and fast; a
-// coarse lock keeps the negative-caching atomic with the asm form).
-func (c *Cache) compiledForm(key Key, generate func() (*asm.Program, error),
-	opts func() (compile.Options, error)) (*compile.Program, error) {
-
-	e := c.entry(key, generate)
+// Compiled returns the closure-threaded form of a call's kernel, or the
+// memoized compile failure (callers then use the checked interpreter on
+// the asm form from Program). The compiled form is built at most once
+// under the cache lock (compilation is deterministic and fast; a coarse
+// lock keeps the negative-caching atomic with the asm form).
+func (c *Cache) Compiled(cl Call) (*compile.Program, error) {
+	e := c.entry(cl.Key(), cl.generate)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.compiled {
@@ -99,42 +87,20 @@ func (c *Cache) compiledForm(key Key, generate func() (*asm.Program, error),
 		e.compileErr = e.err
 		return nil, e.compileErr
 	}
-	o, err := opts()
+	aopts, err := cl.AnalysisOptions()
 	if err != nil {
 		e.compileErr = err
 		return nil, err
 	}
-	e.cprog, e.compileErr = compile.Compile(e.prog, o)
+	e.cprog, e.compileErr = compile.Compile(e.prog,
+		compile.Options{Lanes: aopts.Bounds.Lanes, Bounds: *aopts.Bounds, Rotation: aopts.Rotation})
 	return e.cprog, e.compileErr
 }
 
-// CompiledKernel returns the closure-threaded form of the kernel for
-// cfg, or the memoized compile failure (callers then use the checked
-// interpreter on the asm form from Kernel).
+// CompiledKernel returns the compiled single-tile kernel for cfg; see
+// Compiled.
 func (c *Cache) CompiledKernel(cfg Config) (*compile.Program, error) {
-	return c.compiledForm(cfg.Key(),
-		func() (*asm.Program, error) { return Generate(cfg) },
-		func() (compile.Options, error) {
-			aopts, err := cfg.AnalysisOptions()
-			if err != nil {
-				return compile.Options{}, err
-			}
-			return compile.Options{Lanes: cfg.Lanes, Bounds: *aopts.Bounds, Rotation: aopts.Rotation}, nil
-		})
-}
-
-// CompiledBand returns the closure-threaded form of the band kernel for
-// cfg, with the same negative-caching behavior as CompiledKernel.
-func (c *Cache) CompiledBand(cfg BandConfig) (*compile.Program, error) {
-	return c.compiledForm(cfg.Key(),
-		func() (*asm.Program, error) { return GenerateBand(cfg) },
-		func() (compile.Options, error) {
-			aopts, err := cfg.AnalysisOptions()
-			if err != nil {
-				return compile.Options{}, err
-			}
-			return compile.Options{Lanes: cfg.Lanes, Bounds: *aopts.Bounds, Rotation: aopts.Rotation}, nil
-		})
+	return c.Compiled(Call{Count: 1, Kernel: cfg})
 }
 
 // Size reports how many kernel variants are cached.

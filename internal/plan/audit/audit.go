@@ -246,26 +246,12 @@ func (a *auditor) checkStructure() error {
 	return nil
 }
 
-// shapes returns the distinct block extents of one dimension, mirroring
-// the planner's grid decomposition: the full block size and the
-// remainder, if any.
-func shapes(total, bs int) []int {
-	if bs >= total {
-		return []int{total}
-	}
-	out := []int{bs}
-	if rem := total % bs; rem > 0 {
-		out = append(out, rem)
-	}
-	return out
-}
-
 // blockMap indexes the plan's blocks by shape, rejecting duplicates
 // and blocks no grid placement reaches (a foreign block is at best
 // dead weight and at worst a sign the plan was spliced together).
 func blockMap(p *plan.Plan) (map[[2]int]plan.Block, error) {
-	mShapes := shapes(p.Request.M, p.MC)
-	nShapes := shapes(p.Request.N, p.NC)
+	mShapes := plan.BlockExtents(p.Request.M, p.MC)
+	nShapes := plan.BlockExtents(p.Request.N, p.NC)
 	want := map[[2]int]bool{}
 	for _, mb := range mShapes {
 		for _, nb := range nShapes {
@@ -321,39 +307,30 @@ func (a *auditor) checkCoverage() error {
 	return nil
 }
 
-// kChunks mirrors the planner's k decomposition: the depths kernels
-// are generated for.
-func kChunks(p *plan.Plan) []int { return shapes(p.Request.K, p.KC) }
-
-// call is one kernel invocation the plan implies: a band (fused) or a
-// single tile at a placement inside a block.
-type call struct {
-	row, col int
-	band     *mkernel.BandConfig
-	kernel   *mkernel.Config
-}
-
-// callsOf enumerates the kernel calls of one block at one k depth,
-// exactly as the executor lowers bands (fused when the plan's request
-// asked for fusion and the band has more than one tile).
-func callsOf(chip *hw.Chip, p *plan.Plan, bands []tiling.Band, kb int) []call {
-	var calls []call
-	for _, bd := range bands {
-		if p.Request.Fuse && bd.Tiles() > 1 {
-			cfg := mkernel.PlanBandConfig(bd.Segs, kb, chip.Lanes, p.Request.Rotate, chip.SigmaAI)
-			calls = append(calls, call{row: bd.Row, col: bd.Col, band: &cfg})
-			continue
-		}
-		col := bd.Col
-		for _, seg := range bd.Segs {
-			for i := 0; i < seg.Count; i++ {
-				cfg := mkernel.PlanKernelConfig(seg.Tile, kb, chip.Lanes, p.Request.Rotate, chip.SigmaAI)
-				calls = append(calls, call{row: bd.Row, col: col, kernel: &cfg})
-				col += seg.Tile.NR
+// forEachCall visits every kernel call the plan makes: each block
+// shape at each k-chunk depth, lowered by the executor's own lowering
+// (tiling.Band.Calls) under the request's rotation and fusion choices.
+// It stops at the first error visit returns.
+func (a *auditor) forEachCall(visit func(block [2]int, kb int, cl mkernel.Call) error) error {
+	chip, p := a.chip, a.p
+	blocks, err := a.blockMap()
+	if err != nil {
+		return err
+	}
+	lw := tiling.Lowering{Lanes: chip.Lanes, SigmaAI: chip.SigmaAI, Rotate: p.Request.Rotate, Fuse: p.Request.Fuse}
+	for key, blk := range blocks {
+		bands := a.bandsOf(key, blk)
+		for _, kb := range plan.BlockExtents(p.Request.K, p.KC) {
+			for _, bd := range bands {
+				for _, cl := range bd.Calls(kb, lw) {
+					if err := visit(key, kb, cl); err != nil {
+						return err
+					}
+				}
 			}
 		}
 	}
-	return calls
+	return nil
 }
 
 // checkBounds composes the per-kernel symbolic bounds facts with every
@@ -366,103 +343,78 @@ func callsOf(chip *hw.Chip, p *plan.Plan, bands []tiling.Band, kb int) []call {
 // and no placement can reach past the allocated scratch.
 func (a *auditor) checkBounds() error {
 	chip, p := a.chip, a.p
-	blocks, err := a.blockMap()
-	if err != nil {
-		return err
-	}
 	sc := mkernel.ScratchEnvelope(p.MC, p.NC, p.KC, chip.Lanes)
 	// Deriving the bounds facts runs a cheap generation pass; one config
 	// recurs across many tile placements, so memoize by kernel name (the
 	// name encodes the full config) to keep the audit linear in distinct
 	// kernels rather than in call sites.
 	memo := map[string]*analysis.Bounds{}
-	boundsFor := func(name string, derive func() (analysis.Options, error)) (*analysis.Bounds, error) {
-		if b, ok := memo[name]; ok {
-			return b, nil
+	return a.forEachCall(func(key [2]int, kb int, cl mkernel.Call) error {
+		name := cl.Name()
+		bounds, ok := memo[name]
+		if !ok {
+			ao, err := cl.AnalysisOptions()
+			if err != nil {
+				return failf(CheckBounds, "block %dx%d: %s at (%d,%d): %v",
+					key[0], key[1], name, cl.Row, cl.Col, err)
+			}
+			bounds = ao.Bounds
+			memo[name] = bounds
 		}
-		ao, err := derive()
-		if err != nil {
-			return nil, err
-		}
-		memo[name] = ao.Bounds
-		return ao.Bounds, nil
-	}
-	for key, blk := range blocks {
-		bands := a.bandsOf(key, blk)
-		for _, kb := range kChunks(p) {
-			lda := int64(kb)
-			for _, cl := range callsOf(chip, p, bands, kb) {
-				var name string
-				var derive func() (analysis.Options, error)
-				if cl.band != nil {
-					name, derive = cl.band.Name(), cl.band.AnalysisOptions
-				} else {
-					name, derive = cl.kernel.Name(), cl.kernel.AnalysisOptions
-				}
-				bounds, err := boundsFor(name, derive)
-				if err != nil {
-					return failf(CheckBounds, "block %dx%d: %s at (%d,%d): %v",
-						key[0], key[1], name, cl.row, cl.col, err)
-				}
-				aExt := bounds.AExtent(lda)
-				bExt := bounds.BExtent(int64(sc.LD))
-				cExt := bounds.CExtent(int64(sc.LD))
-				aOff := int64(cl.row) * lda
-				bOff := int64(cl.col)
-				cOff := int64(cl.row)*int64(sc.LD) + int64(cl.col)
-				if aOff+aExt > int64(sc.PackA) {
-					return failf(CheckBounds,
-						"block %dx%d k=%d: %s at (%d,%d) reads A to %d, scratch holds %d",
-						key[0], key[1], kb, name, cl.row, cl.col, aOff+aExt, sc.PackA)
-				}
-				if bOff+bExt > int64(sc.PackB) {
-					return failf(CheckBounds,
-						"block %dx%d k=%d: %s at (%d,%d) reads B to %d, scratch holds %d",
-						key[0], key[1], kb, name, cl.row, cl.col, bOff+bExt, sc.PackB)
-				}
-				if cOff+cExt > int64(sc.CBuf) {
-					return failf(CheckBounds,
-						"block %dx%d k=%d: %s at (%d,%d) touches C to %d, scratch holds %d",
-						key[0], key[1], kb, name, cl.row, cl.col, cOff+cExt, sc.CBuf)
-				}
+		lda := int64(kb)
+		aExt := bounds.AExtent(lda)
+		bExt := bounds.BExtent(int64(sc.LD))
+		cExt := bounds.CExtent(int64(sc.LD))
+		for i := 0; i < cl.Count; i++ {
+			row, col := cl.Row, cl.ColOf(i)
+			aOff := int64(row) * lda
+			bOff := int64(col)
+			cOff := int64(row)*int64(sc.LD) + int64(col)
+			if aOff+aExt > int64(sc.PackA) {
+				return failf(CheckBounds,
+					"block %dx%d k=%d: %s at (%d,%d) reads A to %d, scratch holds %d",
+					key[0], key[1], kb, name, row, col, aOff+aExt, sc.PackA)
+			}
+			if bOff+bExt > int64(sc.PackB) {
+				return failf(CheckBounds,
+					"block %dx%d k=%d: %s at (%d,%d) reads B to %d, scratch holds %d",
+					key[0], key[1], kb, name, row, col, bOff+bExt, sc.PackB)
+			}
+			if cOff+cExt > int64(sc.CBuf) {
+				return failf(CheckBounds,
+					"block %dx%d k=%d: %s at (%d,%d) touches C to %d, scratch holds %d",
+					key[0], key[1], kb, name, row, col, cOff+cExt, sc.CBuf)
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // derivedKeys re-enumerates, from the plan's own tilings, every kernel
 // cache key execution will request — the same derivation the planner
 // ran when it produced the plan.
 func (a *auditor) derivedKeys() (map[string]bool, error) {
-	chip, p := a.chip, a.p
 	blocks, err := a.blockMap()
 	if err != nil {
 		return nil, err
 	}
-	keys := map[string]bool{}
 	for key, blk := range blocks {
-		bands := a.bandsOf(key, blk)
-		for _, kb := range kChunks(p) {
-			for _, bd := range bands {
-				for _, seg := range bd.Segs {
-					if !seg.Tile.Generatable(chip.Lanes) {
-						return nil, failf(CheckKernels,
-							"block %dx%d: tile %s is not generatable for %d lanes",
-							key[0], key[1], seg.Tile, chip.Lanes)
-					}
-				}
-				if p.Request.Fuse && bd.Tiles() > 1 {
-					keys[string(mkernel.PlanBandConfig(bd.Segs, kb, chip.Lanes, p.Request.Rotate, chip.SigmaAI).Key())] = true
-					continue
-				}
-				for _, seg := range bd.Segs {
-					keys[string(mkernel.PlanKernelConfig(seg.Tile, kb, chip.Lanes, p.Request.Rotate, chip.SigmaAI).Key())] = true
+		for _, bd := range a.bandsOf(key, blk) {
+			for _, seg := range bd.Segs {
+				if !seg.Tile.Generatable(a.chip.Lanes) {
+					return nil, failf(CheckKernels,
+						"block %dx%d: tile %s is not generatable for %d lanes",
+						key[0], key[1], seg.Tile, a.chip.Lanes)
 				}
 			}
 		}
 	}
-	return keys, nil
+	keys := map[string]bool{}
+	err = a.forEachCall(func(_ [2]int, _ int, cl mkernel.Call) error {
+		keys[string(cl.Key())] = true
+		return nil
+	})
+	return keys, err
 }
 
 // checkKernels proves the plan's declared kernel-key list is exactly
@@ -509,36 +461,14 @@ func (a *auditor) checkKernels() error {
 // resolve but that the kernels behind them pass the full bounds and
 // rotation analysis on this build.
 func (a *auditor) checkGenerate() error {
-	chip, p := a.chip, a.p
 	cache := a.o.Cache
 	if cache == nil {
 		cache = mkernel.NewCache()
 	}
-	blocks, err := a.blockMap()
-	if err != nil {
-		return err
-	}
-	for key, blk := range blocks {
-		bands := a.bandsOf(key, blk)
-		for _, kb := range kChunks(p) {
-			for _, bd := range bands {
-				if p.Request.Fuse && bd.Tiles() > 1 {
-					cfg := mkernel.PlanBandConfig(bd.Segs, kb, chip.Lanes, p.Request.Rotate, chip.SigmaAI)
-					if _, err := cache.Band(cfg); err != nil {
-						return failf(CheckGenerate, "block %dx%d: band %s: %v",
-							key[0], key[1], cfg.Name(), err)
-					}
-					continue
-				}
-				for _, seg := range bd.Segs {
-					cfg := mkernel.PlanKernelConfig(seg.Tile, kb, chip.Lanes, p.Request.Rotate, chip.SigmaAI)
-					if _, err := cache.Kernel(cfg); err != nil {
-						return failf(CheckGenerate, "block %dx%d: kernel %s: %v",
-							key[0], key[1], cfg.Name(), err)
-					}
-				}
-			}
+	return a.forEachCall(func(key [2]int, _ int, cl mkernel.Call) error {
+		if _, err := cache.Program(cl); err != nil {
+			return failf(CheckGenerate, "block %dx%d: kernel %s: %v", key[0], key[1], cl.Name(), err)
 		}
-	}
-	return nil
+		return nil
+	})
 }

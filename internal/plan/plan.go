@@ -102,6 +102,22 @@ type Block struct {
 	Panels      []Panel `json:"panels"`
 }
 
+// BlockExtents returns the distinct block extents of one grid
+// dimension: total elements blocked by bs give the full block size and
+// the remainder, if any. The planner tiles, the executor attaches and
+// the auditor verifies exactly these (M, N) shapes, and kernels are
+// generated for exactly these k depths.
+func BlockExtents(total, bs int) []int {
+	if bs >= total {
+		return []int{total}
+	}
+	out := []int{bs}
+	if rem := total % bs; rem > 0 {
+		out = append(out, rem)
+	}
+	return out
+}
+
 // Plan is a complete, immutable execution recipe. Producers build it,
 // serialize it, and never mutate it after publication; executors treat
 // it as read-only.

@@ -33,7 +33,7 @@ func benchSetup(b *testing.B) (*mkernel.Cache, mkernel.Config, []float32, []floa
 
 func BenchmarkKernelInterpreted(b *testing.B) {
 	cache, cfg, a, bp, c, lda, ldb, ldc := benchSetup(b)
-	p, err := cache.Kernel(cfg)
+	p, err := cache.Program(mkernel.Call{Count: 1, Kernel: cfg})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -202,11 +202,12 @@ func TestCacheCompiled(t *testing.T) {
 		Segments: []mkernel.Segment{{Tile: mkernel.Tile{MR: 4, NR: 8}, Count: 2}},
 		KC:       9, Lanes: 4, Fuse: true, LoadC: true, SigmaAI: 4.0,
 	}
-	cb1, err := cache.CompiledBand(bc)
+	band := mkernel.Call{Count: 1, Band: bc}
+	cb1, err := cache.Compiled(band)
 	if err != nil {
-		t.Fatalf("CompiledBand: %v", err)
+		t.Fatalf("Compiled(band): %v", err)
 	}
-	if cb2, _ := cache.CompiledBand(bc); cb2 != cb1 {
+	if cb2, _ := cache.Compiled(band); cb2 != cb1 {
 		t.Fatalf("compiled band not memoized")
 	}
 }

@@ -202,15 +202,10 @@ func (e *Engine) planResolved(co core.Options, m, n, k int) (*core.Plan, error) 
 	if e.PlanMode() == PlanModeTiered {
 		return e.planTiered(co, m, n, k, req)
 	}
-	return e.plans.Get(req.Fingerprint(), func() (*core.Plan, error) {
-		if e.registry != nil {
-			if rec, err := e.registry.Load(req.Fingerprint()); err == nil {
-				if rec.CheckRequest(req) == nil {
-					if p, err := core.Attach(e.chip, rec, co); err == nil {
-						return p, nil
-					}
-				}
-			}
+	fp := req.Fingerprint()
+	return e.plans.Get(fp, func() (*core.Plan, error) {
+		if p := e.fromRegistry(fp, req, co); p != nil {
+			return p, nil
 		}
 		rec, err := core.Produce(e.chip, m, n, k, co)
 		if err != nil {
@@ -219,4 +214,23 @@ func (e *Engine) planResolved(co core.Options, m, n, k int) (*core.Plan, error) 
 		co.TrustedPlan = true // just produced in-process, no audit needed
 		return core.Attach(e.chip, rec, co)
 	})
+}
+
+// fromRegistry is the warm start of a plan-cache miss: the registry's
+// plan for the fingerprint, attached (and so audited) under co, or nil
+// when there is no registry, no entry, or the entry answers another
+// request or fails the audit — the caller then plans afresh.
+func (e *Engine) fromRegistry(fp string, req plan.Request, co core.Options) *core.Plan {
+	if e.registry == nil {
+		return nil
+	}
+	rec, err := e.registry.Load(fp)
+	if err != nil || rec.CheckRequest(req) != nil {
+		return nil
+	}
+	p, err := core.Attach(e.chip, rec, co)
+	if err != nil {
+		return nil
+	}
+	return p
 }
